@@ -9,10 +9,19 @@ import (
 	"repro/internal/synth"
 )
 
-// The cold-path differential suite: on a >64-pair universe (Ω = 9·8 = 72,
-// the former fast-path cliff) every strategy must ask a bit-identical
-// question sequence at every parallelism — the arena general path, the
-// incremental engine, and the semijoin solver are pure optimizations.
+// The cold-path differential suite: every strategy must ask a
+// bit-identical question sequence at every parallelism — the lookahead
+// kernel, the incremental engine, and the semijoin solver are pure
+// optimizations. It runs on a one-word universe (a Figure 7 instance,
+// Ω = 9) and a two-word one (Ω = 9·8 = 72), so both fused certainty
+// widths of the lookahead kernel are covered.
+
+// coldPathCase is one instance of the suite with its goal predicate.
+type coldPathCase struct {
+	name string
+	inst *Instance
+	goal Pred
+}
 
 // coldPathInstance returns the 72-pair instance shared by the suite.
 func coldPathInstance(tb testing.TB) *Instance {
@@ -28,6 +37,18 @@ func coldPathInstance(tb testing.TB) *Instance {
 func coldPathGoal(inst *Instance) Pred {
 	u := predicate.NewUniverse(inst)
 	return predicate.FromPairs(u, [2]int{0, 0}, [2]int{3, 2})
+}
+
+// coldPathCases returns the suite's instances: the Figure 7 configuration
+// (3, 3, 100, 100) with goal A1 = B1, and the 72-pair instance.
+func coldPathCases(tb testing.TB) []coldPathCase {
+	tb.Helper()
+	fig7 := synth.MustGenerate(synth.PaperConfigs()[0], 1)
+	wide := coldPathInstance(tb)
+	return []coldPathCase{
+		{"fig7(3,3,100,100)", fig7, predicate.FromPairs(predicate.NewUniverse(fig7), [2]int{0, 0})},
+		{"synth(9,8,5,3)", wide, coldPathGoal(wide)},
+	}
 }
 
 // transcriptSeq runs a session to completion and returns the ordered
@@ -52,14 +73,18 @@ func sameEntries(a, b []TranscriptEntry) bool {
 	return true
 }
 
-// TestColdPathJoinSequencesBitIdentical: for all five strategies on the
-// >64-pair universe, join sessions ask the same questions at Workers 1 and
-// 4 and infer an instance-equivalent predicate. (Arena-vs-legacy sequence
+// TestColdPathJoinSequencesBitIdentical: for all five strategies on each
+// instance, join sessions ask the same questions at Workers 1 and 4 and
+// infer an instance-equivalent predicate. (Kernel-vs-reference sequence
 // equality for the lookaheads is asserted in internal/strategy; the
 // incremental engine is differentially tested in internal/inference.)
 func TestColdPathJoinSequencesBitIdentical(t *testing.T) {
-	inst := coldPathInstance(t)
-	goal := coldPathGoal(inst)
+	for _, c := range coldPathCases(t) {
+		t.Run(c.name, func(t *testing.T) { checkJoinSequences(t, c.inst, c.goal) })
+	}
+}
+
+func checkJoinSequences(t *testing.T, inst *Instance, goal Pred) {
 	u := predicate.NewUniverse(inst)
 	cs := PrecomputeClasses(inst)
 	want := predicate.Join(inst, u, goal)
@@ -88,13 +113,17 @@ func TestColdPathJoinSequencesBitIdentical(t *testing.T) {
 }
 
 // TestColdPathSemijoinSequencesBitIdentical: semijoin sessions on the same
-// instance ask the scan-order sequence the pre-solver implementation
+// instances ask the scan-order sequence the pre-solver implementation
 // produced — computed here as the reference with the package-level
 // (seed) semijoin.Informative — for every strategy id (ignored by
 // semijoin sessions) and parallelism.
 func TestColdPathSemijoinSequencesBitIdentical(t *testing.T) {
-	inst := coldPathInstance(t)
-	goal := coldPathGoal(inst)
+	for _, c := range coldPathCases(t) {
+		t.Run(c.name, func(t *testing.T) { checkSemijoinSequences(t, c.inst, c.goal) })
+	}
+}
+
+func checkSemijoinSequences(t *testing.T, inst *Instance, goal Pred) {
 
 	// Reference: the seed scan loop over package-level CONS⋉ decisions.
 	keeps := func(ri int) bool {

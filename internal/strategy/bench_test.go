@@ -60,13 +60,13 @@ func BenchmarkNextHalving(b *testing.B) {
 	}
 }
 
-// BenchmarkColdPath measures uncached (first-user) serving on a >64-pair
-// universe — the general path a policy cache cannot help. Each op is one
-// full inference run; "arena" is the production allocation-free flat-arena
-// path, "legacy" the pre-arena slice-based implementation it replaced
-// (still the k > maxFastDepth fallback). questions/s is the custom
-// throughput metric; allocs/op shows the arena discipline. Recorded in
-// BENCH_coldpath.json.
+// BenchmarkColdPath measures uncached (first-user) serving on a two-word
+// (72-pair) universe — the work a policy cache cannot help. Each op is one
+// full inference run; "arena" is the production lookahead kernel, "legacy"
+// the slice-based reference implementation of oracle_test.go, which the
+// kernel replaced in production and which tests still compare against.
+// questions/s is the custom throughput metric; allocs/op shows the arena
+// discipline. Recorded in BENCH_coldpath.json.
 func BenchmarkColdPath(b *testing.B) {
 	inst := synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: 6, Values: 3}, 1)
 	e0 := inference.New(inst)

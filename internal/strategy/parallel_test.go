@@ -2,45 +2,30 @@ package strategy
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/inference"
 	"repro/internal/oracle"
 	"repro/internal/paperdata"
+	"repro/internal/predicate"
 	"repro/internal/relation"
-	"repro/internal/sample"
 	"repro/internal/synth"
 )
 
-// generalPathInstance returns an instance whose pair universe exceeds 64
-// bits (Ω = 9·8 = 72), forcing the lookahead onto the general bitset path;
-// every product tuple lands in its own T-class, so rows² informative
-// classes exist at the start.
-func generalPathInstance(t *testing.T, rows int) *inference.Engine {
+// workersDeterministic checks, on trials random W-word instances, that
+// NextCtx picks the same class at every Workers value and that whole runs
+// ask the same number of questions — parallel evaluation must be
+// bit-identical to serial.
+func workersDeterministic(t *testing.T, W, trials int) {
 	t.Helper()
-	inst := synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: rows, Values: 3}, 1)
-	e := inference.New(inst)
-	if e.U.Size() <= 64 {
-		t.Fatalf("universe %d fits a word; want > 64", e.U.Size())
-	}
-	lk := newLook(e, false)
-	if lk.fastReady() {
-		t.Fatal("fast path unexpectedly available on a >64-pair universe")
-	}
-	return e
-}
-
-// TestWorkersDeterministicFastPath: on random word-size instances, NextCtx
-// picks the same class at every Workers value, and whole runs ask the same
-// number of questions — parallel evaluation must be bit-identical to
-// serial.
-func TestWorkersDeterministicFastPath(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		inst := randInstance(r)
+	for trial := 0; trial < trials; trial++ {
+		inst := randInstanceWords(r, W)
 		goal := randPred(r, inference.New(inst).U)
 		for _, k := range []int{1, 2} {
 			e := inference.New(inst)
@@ -79,31 +64,29 @@ func TestWorkersDeterministicFastPath(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterministicGeneralPath: the same determinism guarantee on
-// the general bitset path (Ω > 64).
+// TestWorkersDeterministicFastPath: worker-count determinism on 25 random
+// one-word instances.
+func TestWorkersDeterministicFastPath(t *testing.T) {
+	workersDeterministic(t, 1, 25)
+}
+
+// TestWorkersDeterministicGeneralPath: the same determinism on random two-
+// and three-word instances.
 func TestWorkersDeterministicGeneralPath(t *testing.T) {
-	ctx := context.Background()
-	e := generalPathInstance(t, 5)
-	serial := (Lookahead{K: 2}).Next(e)
-	for _, w := range []int{1, 4, 16} {
-		got, err := Lookahead{K: 2, Workers: w}.NextCtx(ctx, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != serial {
-			t.Fatalf("workers=%d: picked %d, serial picked %d", w, got, serial)
-		}
+	for _, W := range widths[1:] {
+		t.Run(fmt.Sprintf("W=%d", W), func(t *testing.T) {
+			workersDeterministic(t, W, 5)
+		})
 	}
 }
 
 // TestGeneralPathBeamLimitsEvaluations is the regression test for the
-// silently-ignored beam: on a >64-pair universe (general path) with 64
-// informative classes, MaxCandidates must cap the number of entropy^K
-// evaluations. Before the fix the beam was applied only on the word-level
-// fast path, so exactly this instance shape ran exact L2S regardless of
-// the knob.
+// silently-ignored beam: on a >64-pair universe with 64 informative
+// classes, MaxCandidates must cap the number of entropy^K evaluations.
+// The beam was once applied only to one-word universes, so exactly this
+// instance shape ran exact L2S regardless of the knob.
 func TestGeneralPathBeamLimitsEvaluations(t *testing.T) {
-	e := generalPathInstance(t, 8)
+	e := widthInstance(t, 2, 8, 1)
 	inf := len(e.InformativeClasses())
 	if inf <= 8 {
 		t.Fatalf("want > 8 informative classes, got %d", inf)
@@ -122,11 +105,11 @@ func TestGeneralPathBeamLimitsEvaluations(t *testing.T) {
 	}
 }
 
-// TestGeneralPathNoBeamEvaluatesAll: without a beam the general path still
-// evaluates every informative candidate (the counter counts what the beam
-// would have cut).
+// TestGeneralPathNoBeamEvaluatesAll: without a beam a >64-pair universe
+// still has every informative candidate evaluated (the counter counts what
+// the beam would have cut).
 func TestGeneralPathNoBeamEvaluatesAll(t *testing.T) {
-	e := generalPathInstance(t, 5)
+	e := widthInstance(t, 2, 5, 1)
 	inf := len(e.InformativeClasses())
 	var evals atomic.Int64
 	exact := Lookahead{K: 2, evalCount: &evals}
@@ -138,29 +121,27 @@ func TestGeneralPathNoBeamEvaluatesAll(t *testing.T) {
 	}
 }
 
-// TestBeamAgreesAcrossPaths: the beam's candidate selection (one-step
-// entropy scoring plus stable ordering) must be identical whether scored
-// by the fast or the general path, so beamed runs do not depend on which
-// path an instance happens to take.
+// TestBeamAgreesAcrossPaths: the kernel's beam (one-step entropy scoring
+// plus stable ordering) picks exactly the candidates a beam scored by the
+// reference implementation picks.
 func TestBeamAgreesAcrossPaths(t *testing.T) {
-	inst := paperdata.Example21()
-	e := inference.New(inst)
+	e := inference.New(paperdata.Example21())
 	lk := newLook(e, false)
-	if !lk.fastReady() {
-		t.Fatal("Example 2.1 should take the fast path")
-	}
-	fb := lk.fbase()
-	gb := lk.baseState()
+	ref := refEntropies(Lookahead{K: 1}, e)
 	for _, beam := range []int{1, 2, 4, 8} {
-		fast := lk.beamPositions(2, beam, func(pos int) Entropy { return lk.fentropy1(pos, fb) })
-		general := lk.beamPositions(2, beam, func(pos int) Entropy { return lk.entropy1(lk.baseInf[pos], gb) })
-		if len(fast) != len(general) {
-			t.Fatalf("beam %d: %d vs %d positions", beam, len(fast), len(general))
+		got := lk.beamPositions(2, beam, lk.newScratch(2))
+		want := make([]int, len(lk.baseInf))
+		for i := range want {
+			want[i] = i
 		}
-		for i := range fast {
-			if fast[i] != general[i] {
-				t.Fatalf("beam %d: position %d differs (%d vs %d)", beam, i, fast[i], general[i])
-			}
+		sort.SliceStable(want, func(a, b int) bool {
+			ea, eb := ref[lk.baseInf[want[a]]], ref[lk.baseInf[want[b]]]
+			return ea.Min > eb.Min || (ea.Min == eb.Min && ea.Max > eb.Max)
+		})
+		want = want[:min(beam, len(want))]
+		sort.Ints(want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("beam %d: kernel picked %v, reference %v", beam, got, want)
 		}
 	}
 }
@@ -183,26 +164,37 @@ func TestParallelNextCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestDeepLookaheadFallsBackToGeneral: depths beyond the fast path's inline
-// chain (maxFastDepth) must still work — they route to the general path,
-// which handles arbitrary K. A three-class instance keeps the exponential
-// recursion trivially small.
-func TestDeepLookaheadFallsBackToGeneral(t *testing.T) {
+// TestDeepLookaheadRejected: depths up to maxDepth run, deeper ones are
+// rejected — NextCtx with an error, Next with -1 (which inference.Run
+// reports as an invalid class), Entropies with nil. A three-class instance
+// keeps the exponential recursion trivially small.
+func TestDeepLookaheadRejected(t *testing.T) {
 	R := relation.NewRelation(relation.MustSchema("R", "A"))
 	P := relation.NewRelation(relation.MustSchema("P", "B"))
 	R.Tuples = append(R.Tuples, relation.Tuple{"1"}, relation.Tuple{"2"})
 	P.Tuples = append(P.Tuples, relation.Tuple{"1"}, relation.Tuple{"3"})
 	inst := relation.MustInstance(R, P)
 	e := inference.New(inst)
-	deep := Lookahead{K: maxFastDepth + 1, Workers: 4}
-	ci, err := deep.NextCtx(context.Background(), e)
+	ci, err := Lookahead{K: maxDepth, Workers: 4}.NextCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ci < 0 || !e.Informative(ci) {
-		t.Fatalf("deep lookahead picked %d; want an informative class", ci)
+		t.Fatalf("depth-%d lookahead picked %d; want an informative class", maxDepth, ci)
 	}
-	if err := e.Label(ci, sample.Negative); err != nil {
-		t.Fatal(err)
+
+	deep := Lookahead{K: maxDepth + 1, Workers: 4}
+	if ci, err := deep.NextCtx(context.Background(), e); err == nil || ci != -1 {
+		t.Errorf("NextCtx = (%d, %v); want (-1, error)", ci, err)
+	}
+	if ci := deep.Next(e); ci != -1 {
+		t.Errorf("Next = %d; want -1", ci)
+	}
+	if ent := deep.Entropies(e); ent != nil {
+		t.Errorf("Entropies = %v; want nil", ent)
+	}
+	honest := oracle.NewHonest(inst, e.U, predicate.FromPairs(e.U, [2]int{0, 0}))
+	if _, err := inference.Run(e, deep, honest, 0); err == nil {
+		t.Error("inference.Run with a rejected depth succeeded; want an invalid-class error")
 	}
 }

@@ -495,6 +495,12 @@ func TestQuickStrategiesAlwaysTerminate(t *testing.T) {
 func randInstance(r *rand.Rand) *relation.Instance {
 	n := 1 + r.Intn(3)
 	m := 1 + r.Intn(3)
+	return randInstanceSized(r, n, m)
+}
+
+// randInstanceSized draws 2–5 random rows per relation over n R and m P
+// attributes.
+func randInstanceSized(r *rand.Rand, n, m int) *relation.Instance {
 	vals := 1 + r.Intn(4)
 	ra := make([]string, n)
 	for i := range ra {
