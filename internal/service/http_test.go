@@ -12,6 +12,7 @@ import (
 	joininference "repro"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/store"
 )
 
 // wireQuestion is the client-side decoding of a question's wire form.
@@ -221,7 +222,11 @@ func TestHTTPPersistRestoreDeterminism(t *testing.T) {
 
 	// Server A: answer half, then shut down with persistence.
 	dir := t.TempDir()
-	mA, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	kvA, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA, err := NewManager(testRegistry(t), Options{Store: kvA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +249,17 @@ func TestHTTPPersistRestoreDeterminism(t *testing.T) {
 	if err := mA.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if err := kvA.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Server B: restore from disk, finish the run.
-	mB, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	// Server B: reopen the log, restore from disk, finish the run.
+	kvB, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kvB.Close()
+	mB, err := NewManager(testRegistry(t), Options{Store: kvB})
 	if err != nil {
 		t.Fatal(err)
 	}

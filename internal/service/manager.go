@@ -4,13 +4,10 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -104,7 +101,8 @@ type PredicateInfo struct {
 
 // SessionSnapshot is the service-level durable form of a session: the root
 // package's Snapshot plus the instance name needed to rebuild it. This is
-// what GET /sessions/{id}/snapshot returns and what --persist-dir writes.
+// what GET /sessions/{id}/snapshot returns; the store keeps the same
+// content in binary form.
 type SessionSnapshot struct {
 	ID       string                  `json:"id"`
 	Instance string                  `json:"instance"`
@@ -120,19 +118,12 @@ type Options struct {
 	// JanitorInterval) sweeps for expired sessions; 0 derives it from the
 	// TTL (a quarter of it, capped at one minute).
 	SweepInterval time.Duration
-	// PersistDir, when non-empty, persists sessions to disk on eviction and
-	// Close, and restores them in NewManager.
-	PersistDir string
 	// Store, when non-nil, persists sessions as compact binary records in
-	// the KV store instead of one JSON file per session, and restores them
-	// in NewManager. It takes precedence over PersistDir (use
-	// MigratePersistDir to convert an existing JSON dir). The manager does
-	// not own the store — the caller closes it after Close.
+	// the KV store — on create, on every applied answer, on eviction and on
+	// Close — and restores them in NewManager. Nil keeps sessions in RAM
+	// only: eviction and Close then discard them. The manager does not own
+	// the store — the caller closes it after Close.
 	Store store.KV
-	// MigratePersistDir, when non-empty alongside Store, converts the
-	// legacy JSON persist dir into the store before restoring (see the
-	// MigratePersistDir function).
-	MigratePersistDir string
 	// PolicyCache, when non-nil, is shared by every session the manager
 	// creates or resumes: sessions over the same instance memoize their
 	// strategy's decision tree in it, so the first user of a popular
@@ -190,7 +181,8 @@ func (o Options) JanitorInterval() time.Duration {
 // Manager owns live sessions: create/answer/snapshot/evict with per-session
 // locking — concurrent requests to different sessions proceed in parallel,
 // even while one session computes an expensive L2S lookahead — plus TTL
-// eviction and disk persistence. All methods are safe for concurrent use.
+// eviction and persistence through the store. All methods are safe for
+// concurrent use.
 type Manager struct {
 	reg  *Registry
 	opts Options
@@ -428,10 +420,10 @@ type managed struct {
 	lastInfo Info
 }
 
-// NewManager builds a manager over the registry. With a PersistDir it
-// restores every persisted session before returning; files that no longer
-// decode or resume are skipped (and logged), never fatal — a corrupt
-// snapshot must not take the service down.
+// NewManager builds a manager over the registry. With a Store it restores
+// every persisted session before returning; records that no longer decode
+// or resume are skipped (and logged), never fatal — a corrupt snapshot must
+// not take the service down.
 func NewManager(reg *Registry, opts Options) (*Manager, error) {
 	m := &Manager{
 		reg:      reg,
@@ -470,30 +462,10 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 			opts.PolicyCache.SetTelemetry(opts.Obs)
 		}
 	}
-	switch {
-	case opts.Store != nil:
-		if opts.MigratePersistDir != "" {
-			n, err := MigratePersistDir(opts.Store, opts.MigratePersistDir, m.log)
-			if err != nil {
-				return nil, err
-			}
-			if n > 0 {
-				m.log.Info("migrated legacy persist dir into the store",
-					"sessions", n, "dir", opts.MigratePersistDir)
-			}
-		}
+	if opts.Store != nil {
 		if err := m.restoreStore(); err != nil {
 			return nil, err
 		}
-	case opts.PersistDir != "":
-		if err := os.MkdirAll(opts.PersistDir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: persist dir: %w", err)
-		}
-		if err := m.restoreAll(); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Store != nil {
 		m.stopPersist = m.startPersistWorker()
 	}
 	return m, nil
@@ -578,7 +550,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	}
 	// Reject unknown strategy ids now: ResumeSession materializes the
 	// strategy lazily, and a zombie session that 400s on every /questions
-	// call (and re-restores from disk on every boot) helps nobody.
+	// call (and re-restores from the store on every boot) helps nobody.
 	if err := validStrategy(snap.Snapshot.Strategy); err != nil {
 		return Info{}, err
 	}
@@ -669,7 +641,7 @@ func (m *Manager) add(id string, p Params, sess *joininference.Session) (Info, e
 	// Write the record through immediately: a session created (or resumed)
 	// just before a crash must exist after the restart. Exclusive access —
 	// nothing else can reach ms until m.mu drops.
-	m.storePersist(ms)
+	m.persistLocked(ms)
 	return ms.info(), nil
 }
 
@@ -682,9 +654,9 @@ func newID() string {
 }
 
 // validID reports whether id has the exact shape newID produces. Ids
-// arrive from clients (resume bodies, URL paths) and are used as path
-// components under PersistDir, so anything else — "../../tmp/evil",
-// absolute paths, empty strings — must never reach filepath.Join.
+// arrive from clients (resume bodies, URL paths) and become store keys and
+// log fields, so anything else — "../../tmp/evil", control characters,
+// empty strings — is replaced (Resume) or rejected (Delete) up front.
 func validID(id string) bool {
 	if len(id) != 16 {
 		return false
@@ -881,7 +853,7 @@ func (m *Manager) migrateLocked(ms *managed) error {
 	m.log.Info("session migrated",
 		"session", ms.id, "instance", ms.params.Instance,
 		"version", ms.sess.InstanceVersion(), "updates", len(upds))
-	m.storePersist(ms)
+	m.persistLocked(ms)
 	return nil
 }
 
@@ -896,10 +868,6 @@ func (m *Manager) retireLocked(ms *managed) {
 	m.met.retired.Add(1)
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Delete(store.SessionKey(ms.id)); err != nil {
-			m.log.Warn("removing persisted session failed", "session", ms.id, "err", err)
-		}
-	} else if m.opts.PersistDir != "" {
-		if err := os.Remove(m.persistPath(ms.id)); err != nil && !os.IsNotExist(err) {
 			m.log.Warn("removing persisted session failed", "session", ms.id, "err", err)
 		}
 	}
@@ -971,7 +939,7 @@ func (m *Manager) Answer(ctx context.Context, id string, answers []Answer) (Answ
 	// prefix of the batch. This is the per-question "store" latency segment.
 	defer func() {
 		if res.Applied > 0 {
-			m.storePersistTimed(ms)
+			m.persistTimed(ms)
 		}
 	}()
 	// Resolve every ref before applying anything, so a malformed ref
@@ -1096,49 +1064,42 @@ func (ms *managed) snapshotLocked() (*SessionSnapshot, error) {
 
 // Delete removes a session the client is done with, discarding any
 // persisted copy (deletion is explicit abandonment — unlike TTL eviction,
-// which persists first). A session that only exists as a TTL-evicted
-// snapshot on disk is deletable too: its file is removed so it does not
-// resurrect on the next boot.
+// which persists first). A session that only exists as a TTL-evicted store
+// record is deletable too. A store failure fails the call rather than
+// acking a record that would resurrect on the next boot; the session has
+// left RAM by then, so a retry takes the evicted path.
 func (m *Manager) Delete(id string) error {
 	ms, err := m.acquire(id)
 	if err != nil {
-		if errors.Is(err, ErrSessionNotFound) && validID(id) {
-			if m.opts.Store != nil {
-				if _, ok, _ := m.opts.Store.Get(store.SessionKey(id)); ok {
-					if rmErr := m.opts.Store.Delete(store.SessionKey(id)); rmErr == nil {
-						m.met.deleted.Add(1)
-						return nil
-					}
-				}
-			} else if m.opts.PersistDir != "" {
-				if rmErr := os.Remove(m.persistPath(id)); rmErr == nil {
-					m.met.deleted.Add(1)
-					return nil
-				}
-			}
+		if !errors.Is(err, ErrSessionNotFound) || !validID(id) || m.opts.Store == nil {
+			return err
 		}
-		return err
+		_, ok, getErr := m.opts.Store.Get(store.SessionKey(id))
+		if getErr != nil {
+			return fmt.Errorf("service: looking up persisted session %s: %w", id, getErr)
+		}
+		if !ok {
+			return err
+		}
+	} else {
+		ms.gone = true
+		ms.mu.Unlock()
+		m.mu.Lock()
+		delete(m.sessions, id)
+		m.mu.Unlock()
 	}
-	ms.gone = true
-	ms.mu.Unlock()
-	m.mu.Lock()
-	delete(m.sessions, id)
-	m.mu.Unlock()
-	m.met.deleted.Add(1)
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Delete(store.SessionKey(id)); err != nil {
-			m.log.Warn("removing persisted session failed", "session", id, "err", err)
-		}
-	} else if m.opts.PersistDir != "" {
-		if err := os.Remove(m.persistPath(id)); err != nil && !os.IsNotExist(err) {
-			m.log.Warn("removing persisted session failed", "session", id, "err", err)
+			return fmt.Errorf("service: removing persisted session %s: %w", id, err)
 		}
 	}
+	m.met.deleted.Add(1)
 	return nil
 }
 
-// SweepExpired evicts sessions idle past the TTL, persisting each first
-// when a PersistDir is configured, and returns how many were evicted.
+// SweepExpired evicts sessions idle past the TTL and returns how many were
+// evicted. With a store each is persisted first, and one the store refuses
+// stays resident; without one, eviction discards the session.
 func (m *Manager) SweepExpired() int {
 	if m.opts.TTL <= 0 {
 		return 0
@@ -1161,7 +1122,7 @@ func (m *Manager) SweepExpired() int {
 			ms.mu.Unlock()
 			continue
 		}
-		if !m.persistLocked(ms) && m.opts.Store != nil {
+		if !m.persistLocked(ms) {
 			// The store refused the snapshot (breaker open or a live
 			// failure): the RAM copy is the only good copy, so the session
 			// stays resident — degraded mode trades memory for never losing
@@ -1208,7 +1169,7 @@ func (m *Manager) StartJanitor(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close persists every live session (when persistence is configured) and
+// Close persists every live session (when a store is configured) and
 // shuts the manager; subsequent calls fail with ErrClosed. The context
 // bounds how long persistence may take. Unlike List/SweepExpired, Close
 // deliberately waits for each session's in-flight operation to finish —
@@ -1245,20 +1206,16 @@ func (m *Manager) Close(ctx context.Context) error {
 			return err
 		}
 		ms.mu.Lock()
-		if !ms.gone {
-			if m.opts.Store != nil {
-				switch m.persistStoreDirect(ms) {
-				case persistOK:
-				case persistUnsnapshotable:
-					lost++
-				default:
-					failed = append(failed, ms)
-				}
-			} else {
-				m.persistLocked(ms)
+		if !ms.gone && m.opts.Store != nil {
+			switch m.persistStoreDirect(ms) {
+			case persistOK:
+			case persistUnsnapshotable:
+				lost++
+			default:
+				failed = append(failed, ms)
 			}
-			ms.gone = true
 		}
+		ms.gone = true
 		ms.mu.Unlock()
 	}
 	// Drain: re-persist failures with backoff until the context gives up.
@@ -1298,63 +1255,32 @@ func (m *Manager) Close(ctx context.Context) error {
 	return nil
 }
 
-// persistPath is the snapshot file for a session id.
-func (m *Manager) persistPath(id string) string {
-	return filepath.Join(m.opts.PersistDir, id+".json")
-}
-
-// storePersist write-throughs the session record after a state change;
-// callers hold ms.mu (or have exclusive access). A no-op without a store:
-// the legacy persist dir keeps its cheaper persist-on-evict behavior.
-func (m *Manager) storePersist(ms *managed) {
+// persistLocked write-throughs the session record after a state change;
+// callers hold ms.mu (or have exclusive access). A no-op reporting true
+// without a store — there is nothing to lose. Otherwise the write goes
+// through the breaker: on an open breaker or a store failure the id joins
+// the write-behind queue and the RAM copy keeps serving, so a dying disk
+// never blocks (or loses) an answer. Reports whether the record is now
+// durably written.
+func (m *Manager) persistLocked(ms *managed) bool {
 	if m.opts.Store == nil {
-		return
+		return true
 	}
-	m.persistLocked(ms)
+	if !m.breaker.Allow() {
+		m.pq.add(ms.id)
+		return false
+	}
+	return m.persistStoreDirect(ms) == persistOK
 }
 
-// storePersistTimed is storePersist plus the per-question "store" latency
+// persistTimed is persistLocked plus the per-question "store" latency
 // segment (question_segment_seconds{segment="store"}) — used on the answer
 // path, where the persist is part of what the client waits for.
-func (m *Manager) storePersistTimed(ms *managed) {
+func (m *Manager) persistTimed(ms *managed) {
 	if o := m.opts.Obs; o != nil && m.opts.Store != nil {
 		defer o.observeStoreSegment(time.Now())
 	}
-	m.storePersist(ms)
-}
-
-// persistLocked writes the session's snapshot to the store (binary, via
-// the breaker — failures queue for write-behind retry) or the persist dir
-// (JSON; failures are logged, not fatal); callers hold ms.mu. Reports
-// whether the snapshot is durably written now (always true when nothing is
-// configured — there is nothing to lose).
-func (m *Manager) persistLocked(ms *managed) bool {
-	if m.opts.Store != nil {
-		return m.persistStoreLocked(ms)
-	}
-	if m.opts.PersistDir == "" {
-		return true
-	}
-	snap, err := ms.snapshotLocked()
-	if err != nil {
-		m.log.Warn("snapshotting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		m.log.Warn("encoding session failed", "session", ms.id, "err", err)
-		return false
-	}
-	tmp := m.persistPath(ms.id) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.log.Warn("persisting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	if err := os.Rename(tmp, m.persistPath(ms.id)); err != nil {
-		m.log.Warn("persisting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	return true
+	m.persistLocked(ms)
 }
 
 // restoreStore resumes every session record in the store. Records that
@@ -1395,39 +1321,6 @@ func (m *Manager) restoreStore() error {
 		}
 		if _, err := m.Resume(snap); err != nil {
 			m.log.Warn("restoring session failed", "session", r.id, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-	}
-	return nil
-}
-
-// restoreAll resumes every *.json snapshot in the persist dir. Files that
-// fail to decode or resume are skipped with a log line.
-func (m *Manager) restoreAll() error {
-	entries, err := os.ReadDir(m.opts.PersistDir)
-	if err != nil {
-		return fmt.Errorf("service: reading persist dir: %w", err)
-	}
-	for _, de := range entries {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(m.opts.PersistDir, de.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			m.log.Warn("reading session file failed", "path", path, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-		var snap SessionSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			m.log.Warn("decoding session file failed", "path", path, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-		if _, err := m.Resume(&snap); err != nil {
-			m.log.Warn("restoring session failed", "path", path, "err", err)
 			m.restoreFails.Add(1)
 			continue
 		}

@@ -3,14 +3,13 @@ package service
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	joininference "repro"
 	"repro/internal/paperdata"
+	"repro/internal/store"
 )
 
 // testRegistry returns a registry with the paper's running examples: the
@@ -162,12 +161,12 @@ func TestManagerRejectsBadCreates(t *testing.T) {
 	}
 }
 
-// TestResumeSanitizesHostileID: a client-supplied id is a filesystem path
-// component under -persist-dir, so anything but the 16-hex newID shape is
-// replaced with a fresh id instead of reaching filepath.Join.
+// TestResumeSanitizesHostileID: a client-supplied id becomes a store key,
+// so anything but the 16-hex newID shape is replaced with a fresh id
+// instead of being persisted as given.
 func TestResumeSanitizesHostileID(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	kv := store.NewMem()
+	m, err := NewManager(testRegistry(t), Options{Store: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,49 +184,18 @@ func TestResumeSanitizesHostileID(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Errorf("session not persisted under the sanitized id: %v", err)
+	if _, ok, err := kv.Get(store.SessionKey(info.ID)); err != nil || !ok {
+		t.Errorf("session not persisted under the sanitized id: ok=%v err=%v", ok, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "..", "..", "tmp", "evil.json")); err == nil {
-		t.Error("snapshot escaped the persist dir")
+	if _, ok, _ := kv.Get(store.SessionKey("../../tmp/evil")); ok {
+		t.Error("snapshot persisted under the hostile id")
 	}
-}
-
-// TestDeleteEvictedSessionRemovesSnapshot: DELETE on a session that only
-// exists as a TTL-evicted file on disk removes the file so it cannot
-// resurrect on the next boot.
-func TestDeleteEvictedSessionRemovesSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, PersistDir: dir, Now: clock})
-	if err != nil {
+	records := 0
+	if err := kv.Scan(store.SessionPrefix(), func(_, _ []byte) bool { records++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.Create(Params{Instance: "flights"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	if n := m.SweepExpired(); n != 1 {
-		t.Fatalf("swept %d, want 1", n)
-	}
-	if err := m.Delete(info.ID); err != nil {
-		t.Fatalf("deleting an evicted-to-disk session: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); !os.IsNotExist(err) {
-		t.Errorf("snapshot file survived delete: %v", err)
-	}
-	m2, err := NewManager(testRegistry(t), Options{PersistDir: dir, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
-		t.Errorf("deleted session resurrected: %v", err)
+	if records != 1 {
+		t.Errorf("store holds %d session records, want 1", records)
 	}
 }
 
@@ -357,6 +325,10 @@ func TestManagerConcurrentAccess(t *testing.T) {
 
 func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 	dir := t.TempDir()
+	kv, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
 	clock := func() time.Time {
@@ -370,7 +342,7 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 		mu.Unlock()
 	}
 
-	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, PersistDir: dir, Now: clock})
+	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, Store: kv, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +372,24 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 	if _, err := m.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("evicted session still present: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Fatalf("no persisted snapshot: %v", err)
+	if _, ok, err := kv.Get(store.SessionKey(info.ID)); err != nil || !ok {
+		t.Fatalf("no persisted snapshot: ok=%v err=%v", ok, err)
 	}
 
-	// A fresh manager over the same dir restores the session, answers
-	// intact.
-	m2, err := NewManager(testRegistry(t), Options{PersistDir: dir, Now: clock})
+	// A restart — manager and log closed, the log reopened from disk —
+	// restores the session, answers intact.
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv2, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv2.Close()
+	m2, err := NewManager(testRegistry(t), Options{Store: kv2, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,8 +404,9 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 
 // TestPersistRestoreDeterminism is the acceptance differential through the
 // service layer: a session driven halfway, persisted via Close, restored by
-// a new manager and driven on asks bit-identical remaining questions and
-// infers the same predicate as an uninterrupted manager-driven session.
+// a new manager over the reopened log and driven on asks bit-identical
+// remaining questions and infers the same predicate as an uninterrupted
+// manager-driven session.
 func TestPersistRestoreDeterminism(t *testing.T) {
 	goal := flightGoal(t)
 	u := joininference.NewSession(paperdata.FlightHotel()).Universe()
@@ -450,7 +434,11 @@ func TestPersistRestoreDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			ctx := context.Background()
 			oracle := joininference.HonestOracle(goal)
-			mA, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+			kvA, err := store.OpenLog(dir, store.LogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mA, err := NewManager(testRegistry(t), Options{Store: kvA})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,8 +462,16 @@ func TestPersistRestoreDeterminism(t *testing.T) {
 			if err := mA.Close(ctx); err != nil {
 				t.Fatal(err)
 			}
+			if err := kvA.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-			mB, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+			kvB, err := store.OpenLog(dir, store.LogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kvB.Close()
+			mB, err := NewManager(testRegistry(t), Options{Store: kvB})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -219,21 +219,8 @@ func (m *Manager) repersist(id string) persistOutcome {
 	return m.persistStoreDirect(ms)
 }
 
-// persistStoreLocked writes the session record through the breaker;
-// callers hold ms.mu. On an open breaker or a store failure the id goes to
-// the write-behind queue and the RAM copy keeps serving — a dying disk
-// never blocks (or loses) an answer. Reports whether the record is now
-// durably written.
-func (m *Manager) persistStoreLocked(ms *managed) bool {
-	if !m.breaker.Allow() {
-		m.pq.add(ms.id)
-		return false
-	}
-	return m.persistStoreDirect(ms) == persistOK
-}
-
 // persistStoreDirect writes the record unconditionally (no breaker gate —
-// used by shutdown drain and half-open probes via persistStoreLocked),
+// used by shutdown drain and half-open probes via persistLocked),
 // still reporting the outcome to the breaker. Callers hold ms.mu.
 func (m *Manager) persistStoreDirect(ms *managed) persistOutcome {
 	snap, err := ms.snapshotLocked()

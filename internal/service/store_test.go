@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -213,111 +214,6 @@ func TestManagerStoreKill9(t *testing.T) {
 	}
 }
 
-// TestMigratePersistDir: a legacy JSON persist dir converts into the store
-// on boot, the restored session continues bit-identically, the consumed
-// files are renamed so the next boot is idempotent, and legacy JSON
-// snapshots keep restoring through the store path.
-func TestMigratePersistDir(t *testing.T) {
-	goal := flightGoal(t)
-	params := Params{Instance: "flights", Strategy: joininference.StrategyL2S, Seed: 3}
-
-	// Reference, uninterrupted.
-	ref0, err := NewManager(testRegistry(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := ref0.Create(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := driveToDone(t, ref0, info.ID, goal, 1)
-
-	// Legacy deployment: JSON persist dir, interrupted mid-session.
-	dir := t.TempDir()
-	m1, err := NewManager(testRegistry(t), Options{PersistDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err = m1.Create(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := driveN(t, m1, info.ID, goal, 1, 2)
-	if err := m1.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Fatalf("legacy JSON snapshot missing: %v", err)
-	}
-
-	// New deployment: store plus -migrate-persist-dir.
-	kv := store.NewMem()
-	m2, err := NewManager(testRegistry(t), Options{Store: kv, MigratePersistDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, driveToDone(t, m2, info.ID, goal, 1)...)
-	if len(got) != len(ref) {
-		t.Fatalf("%d questions across migration, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("question %d = %+v, want %+v", i, got[i], ref[i])
-		}
-	}
-	// The consumed file was renamed, so a second migrating boot finds
-	// nothing to do and the store's (newer) state wins.
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); !os.IsNotExist(err) {
-		t.Errorf("JSON file still present after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json.migrated")); err != nil {
-		t.Errorf("migrated marker missing: %v", err)
-	}
-	n, err := MigratePersistDir(kv, dir, nil)
-	if err != nil || n != 0 {
-		t.Errorf("second migration moved %d sessions (err %v), want 0", n, err)
-	}
-}
-
-// TestStoreRestoresLegacyJSONRecord: a store record holding the legacy JSON
-// body (not the binary form) still restores — the compatibility path for
-// records written by hand or by older tooling.
-func TestStoreRestoresLegacyJSONRecord(t *testing.T) {
-	goal := flightGoal(t)
-	m0, err := NewManager(testRegistry(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := m0.Create(Params{Instance: "flights", Strategy: joininference.StrategyBU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveN(t, m0, info.ID, goal, 1, 2)
-	snap, err := m0.Snapshot(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kv := store.NewMem()
-	if err := kv.Put(store.SessionKey(snap.ID), data); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := NewManager(testRegistry(t), Options{Store: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := m1.Get(snap.ID)
-	if err != nil {
-		t.Fatalf("JSON store record not restored: %v", err)
-	}
-	if restored.Asked != 2 {
-		t.Errorf("restored at %d answers, want 2", restored.Asked)
-	}
-}
-
 // TestStoreCorruptSessionRecordSkipped: one corrupt session record must not
 // take boot down or poison other sessions.
 func TestStoreCorruptSessionRecordSkipped(t *testing.T) {
@@ -382,6 +278,61 @@ func TestStoreDeleteEvictedSession(t *testing.T) {
 	}
 	if _, err := m2.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("deleted session resurrected: %v", err)
+	}
+}
+
+// TestStoreDeleteUnderFaultDoesNotResurrect: a DELETE the store could not
+// carry out is an error (HTTP 500), never an ack — otherwise the session
+// would come back on the next boot. Both the live and the evicted path are
+// covered; a retry once the store heals succeeds and the session stays gone.
+func TestStoreDeleteUnderFaultDoesNotResurrect(t *testing.T) {
+	for _, evicted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("evicted=%v", evicted), func(t *testing.T) {
+			inner := store.NewMem()
+			kv := store.NewFault(inner, store.FaultConfig{ErrorRate: 1})
+			kv.SetEnabled(false)
+			now := time.Unix(1000, 0)
+			clock := func() time.Time { return now }
+			m, err := NewManager(testRegistry(t), Options{Store: kv, TTL: time.Minute, Now: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := m.Create(Params{Instance: "flights"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveN(t, m, info.ID, flightGoal(t), 1, 1)
+			if evicted {
+				now = now.Add(2 * time.Minute)
+				if n := m.SweepExpired(); n != 1 {
+					t.Fatalf("evicted %d, want 1", n)
+				}
+			}
+
+			kv.SetEnabled(true)
+			err = m.Delete(info.ID)
+			if err == nil || errors.Is(err, ErrSessionNotFound) {
+				t.Fatalf("delete under a failing store returned %v, want the store error", err)
+			}
+			if code := statusFor(err); code != http.StatusInternalServerError {
+				t.Errorf("delete under a failing store maps to HTTP %d, want 500", code)
+			}
+			kv.SetEnabled(false)
+			if err := m.Delete(info.ID); err != nil {
+				t.Fatalf("retried delete: %v", err)
+			}
+			if _, ok, _ := inner.Get(store.SessionKey(info.ID)); ok {
+				t.Error("deleted session's record survived the retry")
+			}
+
+			m2, err := NewManager(testRegistry(t), Options{Store: inner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m2.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
+				t.Errorf("deleted session resurrected: %v", err)
+			}
+		})
 	}
 }
 
