@@ -24,7 +24,8 @@
 // boundary with bit-identical question sequences, the shared policy cache
 // migrates or retires exactly the affected decision subtrees, and with a
 // store the delta is appended to a per-instance log replayed on the next
-// boot. Ingest and invalidation counters appear in /debug/metrics.
+// boot. Ingest and invalidation counters appear in /debug/metrics and
+// /metrics.
 //
 // With -store-dir, everything durable lives in one crash-safe KV store
 // (see internal/store and README "Persistence"): sessions persist as
@@ -54,9 +55,10 @@
 // pays for the expensive L1S/L2S lookahead. -warm precomputes a tree
 // breadth-first at boot (e.g. -warm tpch-join1=L2S:4). Operational
 // counters — sessions live/created/evicted, questions served, cache
-// hits/misses/evictions — are served at /debug/metrics (and, with the
-// whole expvar namespace, at /debug/vars). See README.md ("Serving",
-// "Policy cache") for a curl walkthrough.
+// hits/misses/evictions — are served as one JSON document at
+// /debug/metrics and in Prometheus form at /metrics; both read the same
+// counters. See README.md ("Serving", "Policy cache") for a curl
+// walkthrough.
 //
 // Resilience (README "Resilience"): -request-timeout caps every request
 // with a server-side deadline (503 + Retry-After on expiry; the deadline
@@ -89,7 +91,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -288,7 +289,6 @@ func run(cfg config) error {
 			"instance", wf.instance, "strategy", wf.strategy, "depth", wf.depth,
 			"nodes", n, "duration", time.Since(start).Round(time.Millisecond))
 	}
-	publishMetrics(mgr)
 	if chaos != nil {
 		// Boot restore ran clean; start the drill.
 		chaos.SetEnabled(true)
@@ -349,15 +349,13 @@ func run(cfg config) error {
 	return <-errc
 }
 
-// newServeMux mounts the service API plus the debug endpoints: the
-// expvar namespace at /debug/vars (standard expvar handler) — the service
-// handler already serves the manager's counters at /debug/metrics — and,
-// when enabled, net/http/pprof under /debug/pprof/ so live lookahead and
-// CONS⋉ hot paths can be profiled in production.
+// newServeMux mounts the service API — which itself serves the manager's
+// counters at /debug/metrics, and at /metrics when the manager has an Obs
+// bundle — plus, when enabled, net/http/pprof under /debug/pprof/ so live
+// lookahead and CONS⋉ hot paths can be profiled in production.
 func newServeMux(mgr *service.Manager, withPprof bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(mgr))
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	if withPprof {
 		// No method qualifiers: pprof.Symbol accepts lookups via GET query
 		// or POST body (the form `go tool pprof` uses), and mixing
@@ -369,16 +367,6 @@ func newServeMux(mgr *service.Manager, withPprof bool) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// publishMetrics exposes the manager's counters in the process-wide expvar
-// namespace (idempotent: expvar forbids re-publishing a name, and tests
-// may build several servers per process).
-func publishMetrics(mgr *service.Manager) {
-	if expvar.Get("joinserve") != nil {
-		return
-	}
-	expvar.Publish("joinserve", expvar.Func(func() any { return mgr.Metrics() }))
 }
 
 // csvFlag is one -csv name=R.csv,P.csv registration.

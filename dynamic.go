@@ -129,12 +129,11 @@ func (s *Session) ApplyUpdate(upd *InstanceUpdate) error {
 	s.inst = upd.To
 	s.cfg.classes = upd.Classes
 	s.asked = len(s.engine.Sample().Examples())
-	// The strategy caches are instance-bound (TD memoizes the ⊆-maximal
-	// set per engine, and the engine was mutated in place); drop them so
+	// The strategy is instance-bound (TD memoizes the ⊆-maximal set per
+	// engine, and the engine was mutated in place); drop it so
 	// the next question re-derives against the new classes. RND re-seeds
 	// and fast-forwards to rngMark, exactly as a snapshot resume would.
 	s.strat, s.stratErr = nil, nil
-	s.strats = make(map[StrategyID]inference.Strategy)
 	s.classIdx = nil
 	// Beliefs are keyed by class index; surviving classes carry their
 	// evidence across the remap, retired classes lose it (their tuples are

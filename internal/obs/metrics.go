@@ -252,7 +252,8 @@ func (k metricKind) String() string {
 
 // child is one labeled instance of a family: exactly one of the fields is
 // set. fn-backed children read their value at exposition time, so existing
-// counters (expvar, cache stats) expose without double bookkeeping.
+// counters (atomic service counters, cache stats) expose without double
+// bookkeeping.
 type child struct {
 	counter *Counter
 	gauge   *Gauge
@@ -346,8 +347,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// exposition time — for counters that already live elsewhere (expvar,
-// cache stats) and should not be double-counted.
+// exposition time — for counters that already live elsewhere (atomic
+// service counters, cache stats) and should not be double-counted.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.registerFunc(name, help, kindCounter, fn)
 }

@@ -5,11 +5,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	joininference "repro"
@@ -203,7 +203,7 @@ type Manager struct {
 	// gates are the per-route admission gates (empty map without admission
 	// control); restoreFails counts boot-restore records that were skipped.
 	gates        map[string]*resilience.Gate
-	restoreFails expvar.Int
+	restoreFails atomic.Int64
 
 	// crowdMu guards the service-wide worker-reliability counters, fed by
 	// the soft-inference commit/retraction events sessions emit.
@@ -317,18 +317,18 @@ func (m *Manager) crowdMetrics() *CrowdMetrics {
 	return out
 }
 
-// managerMetrics are the manager's monotonic counters, expvar-typed
-// (atomic, individually publishable) so command frontends can expose them
-// without extra locking.
+// managerMetrics are the manager's monotonic counters. They are atomic so
+// Metrics and the obs function-backed families read them without the
+// manager lock.
 type managerMetrics struct {
-	created, resumed, evicted, deleted expvar.Int
-	questions, answers                 expvar.Int
-	ingests, migrated, retired         expvar.Int
+	created, resumed, evicted, deleted atomic.Int64
+	questions, answers                 atomic.Int64
+	ingests, migrated, retired         atomic.Int64
 }
 
 // Metrics is a point-in-time snapshot of the manager's operational
-// counters, served by joinserve's /debug/metrics endpoint and publishable
-// as an expvar.Func.
+// counters, served by joinserve's /debug/metrics endpoint. It reads the
+// same counters the obs registry exposes at /metrics.
 type Metrics struct {
 	// SessionsLive counts sessions currently resident in memory.
 	SessionsLive int `json:"sessions_live"`
@@ -375,15 +375,15 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Unlock()
 	out := Metrics{
 		SessionsLive:     live,
-		SessionsCreated:  m.met.created.Value(),
-		SessionsResumed:  m.met.resumed.Value(),
-		SessionsEvicted:  m.met.evicted.Value(),
-		SessionsDeleted:  m.met.deleted.Value(),
-		QuestionsServed:  m.met.questions.Value(),
-		AnswersApplied:   m.met.answers.Value(),
-		DeltasIngested:   m.met.ingests.Value(),
-		SessionsMigrated: m.met.migrated.Value(),
-		SessionsRetired:  m.met.retired.Value(),
+		SessionsCreated:  m.met.created.Load(),
+		SessionsResumed:  m.met.resumed.Load(),
+		SessionsEvicted:  m.met.evicted.Load(),
+		SessionsDeleted:  m.met.deleted.Load(),
+		QuestionsServed:  m.met.questions.Load(),
+		AnswersApplied:   m.met.answers.Load(),
+		DeltasIngested:   m.met.ingests.Load(),
+		SessionsMigrated: m.met.migrated.Load(),
+		SessionsRetired:  m.met.retired.Load(),
 		Registry:         m.reg.Stats(),
 	}
 	if m.opts.PolicyCache != nil {

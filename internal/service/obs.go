@@ -104,7 +104,7 @@ func (o *Obs) observeStoreSegment(start time.Time) {
 	o.segStore.ObserveSince(start)
 }
 
-// bind exposes the manager's existing counters — expvar session counters,
+// bind exposes the manager's existing counters — atomic session counters,
 // registry load stats, policy-cache residency, store residency, crowd
 // totals — as function-backed metrics read at exposition time, so nothing
 // is counted twice. Re-binding (a fresh manager over a shared Obs, the
@@ -120,15 +120,15 @@ func (o *Obs) bind(m *Manager) {
 		m.mu.Unlock()
 		return float64(n)
 	})
-	r.CounterFunc("sessions_created_total", "Sessions created.", func() float64 { return float64(m.met.created.Value()) })
-	r.CounterFunc("sessions_resumed_total", "Sessions resumed (boot-time restores included).", func() float64 { return float64(m.met.resumed.Value()) })
-	r.CounterFunc("sessions_evicted_total", "Sessions evicted by TTL sweeps.", func() float64 { return float64(m.met.evicted.Value()) })
-	r.CounterFunc("sessions_deleted_total", "Sessions explicitly deleted.", func() float64 { return float64(m.met.deleted.Value()) })
-	r.CounterFunc("questions_served_total", "Questions handed out.", func() float64 { return float64(m.met.questions.Value()) })
-	r.CounterFunc("answers_applied_total", "Answers recorded (skipped answers excluded).", func() float64 { return float64(m.met.answers.Value()) })
-	r.CounterFunc("deltas_ingested_total", "Deltas applied through Ingest.", func() float64 { return float64(m.met.ingests.Value()) })
-	r.CounterFunc("sessions_migrated_total", "Live sessions carried onto a new instance version.", func() float64 { return float64(m.met.migrated.Value()) })
-	r.CounterFunc("sessions_retired_total", "Sessions retired as inconsistent under new data.", func() float64 { return float64(m.met.retired.Value()) })
+	r.CounterFunc("sessions_created_total", "Sessions created.", func() float64 { return float64(m.met.created.Load()) })
+	r.CounterFunc("sessions_resumed_total", "Sessions resumed (boot-time restores included).", func() float64 { return float64(m.met.resumed.Load()) })
+	r.CounterFunc("sessions_evicted_total", "Sessions evicted by TTL sweeps.", func() float64 { return float64(m.met.evicted.Load()) })
+	r.CounterFunc("sessions_deleted_total", "Sessions explicitly deleted.", func() float64 { return float64(m.met.deleted.Load()) })
+	r.CounterFunc("questions_served_total", "Questions handed out.", func() float64 { return float64(m.met.questions.Load()) })
+	r.CounterFunc("answers_applied_total", "Answers recorded (skipped answers excluded).", func() float64 { return float64(m.met.answers.Load()) })
+	r.CounterFunc("deltas_ingested_total", "Deltas applied through Ingest.", func() float64 { return float64(m.met.ingests.Load()) })
+	r.CounterFunc("sessions_migrated_total", "Live sessions carried onto a new instance version.", func() float64 { return float64(m.met.migrated.Load()) })
+	r.CounterFunc("sessions_retired_total", "Sessions retired as inconsistent under new data.", func() float64 { return float64(m.met.retired.Load()) })
 	r.CounterFunc("registry_cache_hits_total", "Instances served from the store's instance cache.", func() float64 { return float64(m.reg.Stats().CacheHits) })
 	r.CounterFunc("registry_reparses_total", "Instances rebuilt from their source.", func() float64 { return float64(m.reg.Stats().Reparses) })
 	r.CounterFunc("registry_deltas_replayed_total", "Delta-log records rolled forward at load time.", func() float64 { return float64(m.reg.Stats().DeltasReplayed) })

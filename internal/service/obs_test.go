@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,6 +174,26 @@ func TestObsEndToEnd(t *testing.T) {
 	doJSON(t, client, http.MethodGet, srv.URL+"/debug/metrics", nil, http.StatusOK, &met)
 	if met.SessionsCreated != 1 || met.QuestionsServed == 0 {
 		t.Errorf("debug metrics: %+v", met)
+	}
+
+	// One source, two views: every counter both surfaces expose reads the
+	// same value. No session operation runs between the two reads.
+	prom := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			prom[name] = val
+		}
+	}
+	for name, want := range map[string]int64{
+		"sessions_live":          int64(met.SessionsLive),
+		"sessions_created_total": met.SessionsCreated,
+		"questions_served_total": met.QuestionsServed,
+		"answers_applied_total":  met.AnswersApplied,
+		"deltas_ingested_total":  met.DeltasIngested,
+	} {
+		if got, ok := prom[name]; !ok || got != strconv.FormatInt(want, 10) {
+			t.Errorf("/metrics %s = %q (present %v), /debug/metrics has %d", name, got, ok, want)
+		}
 	}
 }
 

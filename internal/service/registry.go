@@ -8,12 +8,12 @@ package service
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	joininference "repro"
 	"repro/internal/obs"
@@ -87,7 +87,7 @@ type Registry struct {
 // delta-log records rolled forward at load, ingests counts live deltas
 // applied.
 type registryMetrics struct {
-	cacheHits, reparses, deltasReplayed, ingests expvar.Int
+	cacheHits, reparses, deltasReplayed, ingests atomic.Int64
 }
 
 // RegistryStats is a point-in-time snapshot of a registry's counters,
@@ -132,10 +132,10 @@ func (r *Registry) Failed() []string {
 // Stats returns the registry's counters.
 func (r *Registry) Stats() RegistryStats {
 	return RegistryStats{
-		CacheHits:      r.met.cacheHits.Value(),
-		Reparses:       r.met.reparses.Value(),
-		DeltasReplayed: r.met.deltasReplayed.Value(),
-		Ingests:        r.met.ingests.Value(),
+		CacheHits:      r.met.cacheHits.Load(),
+		Reparses:       r.met.reparses.Load(),
+		DeltasReplayed: r.met.deltasReplayed.Load(),
+		Ingests:        r.met.ingests.Load(),
 	}
 }
 

@@ -322,7 +322,7 @@ func (m *Manager) Health() Health {
 	} else {
 		h.Registry = &ComponentHealth{Status: "ok"}
 	}
-	if n := m.restoreFails.Value(); n > 0 {
+	if n := m.restoreFails.Load(); n > 0 {
 		h.Restore = &ComponentHealth{Status: "incomplete", Detail: fmt.Sprintf("%d persisted session(s) failed to restore", n)}
 	} else {
 		h.Restore = &ComponentHealth{Status: "ok"}
@@ -375,7 +375,7 @@ func (m *Manager) resilienceMetrics() *ResilienceMetrics {
 		out.StoreLastError = m.breaker.LastError()
 		out.ConsecutiveFailure = m.breaker.ConsecutiveFailures()
 	}
-	out.RestoreFailures = m.restoreFails.Value()
+	out.RestoreFailures = m.restoreFails.Load()
 	out.Degraded = m.Degraded()
 	for _, route := range admissionRoutes {
 		if g := m.gates[route]; g != nil {

@@ -50,12 +50,10 @@
 package joininference
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/inference"
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
@@ -178,70 +176,4 @@ func JoinRatio(inst *Instance) float64 {
 func Join(inst *Instance, theta Pred) [][2]int {
 	u := predicate.NewUniverse(inst)
 	return predicate.Join(inst, u, theta)
-}
-
-// NextQuestion picks the next informative tuple under the given per-call
-// strategy. ok is false when the session is done, the budget is spent, or
-// the strategy is unknown.
-//
-// Deprecated: configure the strategy once with WithStrategy (or
-// WithCustomStrategy) and use NextQuestions, which reports errors and
-// supports cancellation and batching.
-func (s *Session) NextQuestion(id StrategyID) (q Question, ok bool) {
-	if s.sj != nil || s.engine.Done() {
-		return Question{}, false
-	}
-	if s.cfg.budget > 0 && s.interactions() >= s.cfg.budget {
-		return Question{}, false
-	}
-	strat, err := s.legacyStrategyFor(id)
-	if err != nil {
-		return Question{}, false
-	}
-	ci := strat.Next(s.engine)
-	if ci < 0 {
-		return Question{}, false
-	}
-	return s.question(ci), true
-}
-
-// legacyStrategyFor lazily constructs and caches per-call strategies (TD
-// and RND carry state across calls), for the deprecated NextQuestion form.
-func (s *Session) legacyStrategyFor(id StrategyID) (inference.Strategy, error) {
-	if st, ok := s.strats[id]; ok {
-		return st, nil
-	}
-	st, err := newStrategy(id, s.cfg.seed, s.cfg.parallelism, 0)
-	if err != nil {
-		return nil, err
-	}
-	s.strats[id] = st
-	return st, nil
-}
-
-// Infer runs a whole session non-interactively against an answerer function
-// (e.g. a simulated user) and returns the inferred predicate plus the
-// number of questions asked.
-//
-// Deprecated: use Run with NewSession(inst, WithStrategy(id)) and
-// FuncOracle, which adds budgets, cancellation, and crowd oracles.
-func Infer(inst *Instance, id StrategyID, answer func(Question) Label) (Pred, int, error) {
-	res, err := Run(context.Background(), NewSession(inst, WithStrategy(id)), FuncOracle(answer))
-	if err != nil {
-		return Pred{}, res.Questions, err
-	}
-	return res.Inferred, res.Questions, nil
-}
-
-// InferGoal simulates an honest user with the given goal predicate; useful
-// for testing and benchmarking workloads.
-//
-// Deprecated: use Run with NewSession(inst, WithStrategy(id)) and
-// HonestOracle(goal).
-func InferGoal(inst *Instance, id StrategyID, goal Pred) (Pred, int, error) {
-	res, err := Run(context.Background(), NewSession(inst, WithStrategy(id)), HonestOracle(goal))
-	if err != nil {
-		return Pred{}, res.Questions, err
-	}
-	return res.Inferred, res.Questions, nil
 }

@@ -57,10 +57,11 @@ func TestSessionTravelScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []StrategyID{StrategyBU, StrategyTD, StrategyL1S, StrategyL2S, StrategyRND} {
-		got, asked, err := InferGoal(inst, id, q2)
+		res, err := Run(context.Background(), NewSession(inst, WithStrategy(id)), HonestOracle(q2))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		got, asked := res.Inferred, res.Questions
 		if asked < 1 || asked > 12 {
 			t.Errorf("%s asked %d questions", id, asked)
 		}
@@ -129,28 +130,21 @@ func TestSessionStepByStep(t *testing.T) {
 	}
 }
 
-func TestSessionUnknownStrategy(t *testing.T) {
-	s := NewSession(paperdata.FlightHotel())
-	if _, ok := s.NextQuestion(StrategyID("NOPE")); ok {
-		t.Error("unknown strategy returned a question")
-	}
-}
-
 func TestAnswerInconsistent(t *testing.T) {
 	inst := paperdata.Example21()
 	// Answer everything positive: eventually T(S+) = ∅ makes the rest
 	// certain; answering all-positive stays consistent, so instead answer
 	// the first positive then a certain contradiction cannot be asked —
-	// use Infer with a lying answerer that alternates labels randomly to
+	// use Run with a lying oracle that alternates labels randomly to
 	// trigger inconsistency at least sometimes.
 	lie := true
-	_, _, err := Infer(inst, StrategyBU, func(q Question) Label {
+	_, err := Run(context.Background(), NewSession(inst, WithStrategy(StrategyBU)), FuncOracle(func(q Question) Label {
 		lie = !lie
 		if lie {
 			return Positive
 		}
 		return Negative
-	})
+	}))
 	// The alternating liar labels ∅ negative first, then something
 	// positive... whether it errors depends on the trace; both outcomes
 	// are legal. If it errors, it must be the inconsistency error.

@@ -146,7 +146,6 @@ func (s *Session) rebuildJoin(tr []TranscriptEntry) error {
 	s.engine = fresh
 	s.asked = replayed
 	s.strat, s.stratErr = nil, nil
-	s.strats = make(map[StrategyID]inference.Strategy)
 	return nil
 }
 

@@ -1,11 +1,6 @@
 package joininference
 
-import (
-	"context"
-	"errors"
-
-	"repro/internal/semijoin"
-)
+import "repro/internal/semijoin"
 
 // Semijoin support (Section 6 of the paper). Because projection hides the
 // P side, examples are rows of R alone — and merely deciding whether *any*
@@ -31,40 +26,4 @@ func SemijoinConsistent(inst *Instance, s SemijoinSample) (Pred, bool, error) {
 // SemijoinEval materializes R ⋉θ P as R-row indexes.
 func SemijoinEval(inst *Instance, theta Pred) []int {
 	return semijoin.Eval(inst, theta)
-}
-
-// InferSemijoin runs the interactive semijoin heuristic: keep asking
-// "would you keep this row?" for rows whose answer is not yet determined,
-// until everything is certain or the budget (0 = unlimited) runs out. It
-// returns a consistent predicate and the number of questions asked.
-//
-// Deprecated: use Run with NewSemijoinSession(inst, WithBudget(budget)) and
-// FuncOracle, which adds cancellation and crowd oracles.
-func InferSemijoin(inst *Instance, keeps func(ri int) bool, budget int) (Pred, int, error) {
-	return runSemijoin(inst, budget, FuncOracle(func(q Question) Label {
-		return Label(keeps(q.RIndex))
-	}))
-}
-
-// InferSemijoinGoal simulates an honest user with a goal semijoin
-// predicate.
-//
-// Deprecated: use Run with NewSemijoinSession(inst, WithBudget(budget)) and
-// HonestOracle(goal).
-func InferSemijoinGoal(inst *Instance, goal Pred, budget int) (Pred, int, error) {
-	return runSemijoin(inst, budget, HonestOracle(goal))
-}
-
-// runSemijoin keeps the deprecated shims' contract: a spent budget is a
-// normal stop, not an error.
-func runSemijoin(inst *Instance, budget int, o Oracle) (Pred, int, error) {
-	s := NewSemijoinSession(inst, WithBudget(budget))
-	res, err := Run(context.Background(), s, o)
-	if errors.Is(err, ErrBudgetExhausted) {
-		err = nil
-	}
-	if err != nil {
-		return Pred{}, res.Questions, err
-	}
-	return res.Inferred, res.Questions, nil
 }

@@ -191,8 +191,7 @@ type Session struct {
 	engine   *inference.Engine
 	strat    inference.Strategy
 	stratErr error
-	strats   map[StrategyID]inference.Strategy // cache for the deprecated per-call form
-	classIdx map[string]int                    // T-class predicate key → class index
+	classIdx map[string]int // T-class predicate key → class index
 
 	// Semijoin mode.
 	sj *semijoinState
@@ -232,7 +231,6 @@ func NewSession(inst *Instance, opts ...Option) *Session {
 		inst:   inst,
 		cfg:    cfg,
 		engine: inference.New(inst, engOpts...),
-		strats: make(map[StrategyID]inference.Strategy),
 		soft:   newSoftState(cfg),
 	}
 }
@@ -794,11 +792,10 @@ func (s *Session) semijoinQuestion(ri int) Question {
 }
 
 // Answer records the oracle's label for a question returned by
-// NextQuestions (or the deprecated NextQuestion). It returns
-// ErrBudgetExhausted when the budget is already spent and ErrInconsistent
-// (wrapped) if the labels contradict every candidate predicate. On a soft
-// session (WithSoftInference) the answer is one unit-weight vote — see
-// AnswerVote for the weighted form.
+// NextQuestions. It returns ErrBudgetExhausted when the budget is already
+// spent and ErrInconsistent (wrapped) if the labels contradict every
+// candidate predicate. On a soft session (WithSoftInference) the answer is
+// one unit-weight vote — see AnswerVote for the weighted form.
 func (s *Session) Answer(q Question, l Label) error {
 	if s.soft != nil {
 		return s.AnswerVote(q, l, Vote{})
