@@ -4,14 +4,17 @@
 //
 // Usage:
 //
-//	joininfer [-strategy TD] [-max 0] [-sql] [-transcript out.jsonl] r.csv p.csv
+//	joininfer [-strategy TD] [-max 0] [-sql] [-snapshot out.json] r.csv p.csv
 //	joininfer -simulate "R.A = P.B AND R.C = P.D" r.csv p.csv
 //
 // Answer each question with y (the pair belongs to your join), n (it does
 // not), or q to stop early and accept the current best predicate. With
 // -simulate the questions are answered automatically according to the
 // given goal predicate — useful for demos and for measuring how many
-// questions a workload needs.
+// questions a workload needs. With -snapshot the session is written, at
+// the end, as a JSON snapshot (Session.Snapshot, Snapshot.Encode): the
+// answers plus the strategy, seed and budget, so the library's
+// DecodeSnapshot and ResumeSession pick it up exactly where it stopped.
 package main
 
 import (
@@ -32,7 +35,7 @@ func main() {
 	maxFlag := flag.Int("max", 0, "maximum number of questions (0 = until fully determined)")
 	simulate := flag.String("simulate", "", "answer automatically according to this goal predicate (e.g. \"R.A = P.B\")")
 	sqlFlag := flag.Bool("sql", false, "additionally print the inferred predicate as SQL")
-	transcriptFlag := flag.String("transcript", "", "write the answered questions as JSON lines to this file")
+	snapshotFlag := flag.String("snapshot", "", "write the session as a resumable JSON snapshot to this file")
 	seedFlag := flag.Int64("seed", 1, "seed for the RND strategy")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: joininfer [flags] R.csv P.csv\n")
@@ -44,13 +47,13 @@ func main() {
 		os.Exit(2)
 	}
 	opts := options{
-		strategy:   joininference.StrategyID(*strategyFlag),
-		parallel:   *parallelFlag,
-		max:        *maxFlag,
-		simulate:   *simulate,
-		sql:        *sqlFlag,
-		transcript: *transcriptFlag,
-		seed:       *seedFlag,
+		strategy: joininference.StrategyID(*strategyFlag),
+		parallel: *parallelFlag,
+		max:      *maxFlag,
+		simulate: *simulate,
+		sql:      *sqlFlag,
+		snapshot: *snapshotFlag,
+		seed:     *seedFlag,
 	}
 	if err := run(flag.Arg(0), flag.Arg(1), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "joininfer:", err)
@@ -59,13 +62,13 @@ func main() {
 }
 
 type options struct {
-	strategy   joininference.StrategyID
-	parallel   int
-	max        int
-	simulate   string
-	sql        bool
-	transcript string
-	seed       int64
+	strategy joininference.StrategyID
+	parallel int
+	max      int
+	simulate string
+	sql      bool
+	snapshot string
+	seed     int64
 }
 
 func run(rPath, pPath string, opts options) error {
@@ -149,19 +152,23 @@ func run(rPath, pPath string, opts options) error {
 		fmt.Println("\nSQL:")
 		fmt.Println(joininference.SQL(s.Universe(), theta, false, true))
 	}
-	if opts.transcript != "" {
-		f, err := os.Create(opts.transcript)
+	if opts.snapshot != "" {
+		snap, err := s.Snapshot()
 		if err != nil {
 			return err
 		}
-		if err := s.SaveTranscript(f); err != nil {
+		f, err := os.Create(opts.snapshot)
+		if err != nil {
+			return err
+		}
+		if err := snap.Encode(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("Transcript written to %s (%d answers).\n", opts.transcript, s.Questions())
+		fmt.Printf("Snapshot written to %s (%d answers).\n", opts.snapshot, s.Questions())
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+
+	joininference "repro"
 )
 
 func writeCSVs(t *testing.T) (string, string) {
@@ -18,23 +21,48 @@ func writeCSVs(t *testing.T) (string, string) {
 
 func TestRunSimulated(t *testing.T) {
 	f, h := writeCSVs(t)
-	dir := t.TempDir()
-	tr := filepath.Join(dir, "answers.jsonl")
+	path := filepath.Join(t.TempDir(), "session.json")
 	opts := options{
-		strategy:   "TD",
-		simulate:   "Flight.To = Hotel.City",
-		sql:        true,
-		transcript: tr,
+		strategy: "TD",
+		simulate: "Flight.To = Hotel.City",
+		sql:      true,
+		snapshot: path,
 	}
 	if err := run(f, h, opts); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(tr)
+	// The snapshot resumes into the session the run ended with.
+	inst, err := joininference.LoadCSV(f, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Error("transcript empty")
+	want := joininference.NewSession(inst, joininference.WithStrategy("TD"))
+	goal, err := joininference.ParsePredicate(want.Universe(), opts.simulate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := joininference.Run(context.Background(), want, joininference.HonestOracle(goal)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	snap, err := joininference.DecodeSnapshot(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := joininference.ResumeSession(inst, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Questions() == 0 || got.Questions() != want.Questions() || !got.Inferred().Equal(want.Inferred()) {
+		t.Errorf("resumed %d questions, inferred %v; want %d, %v",
+			got.Questions(), got.Inferred(), want.Questions(), want.Inferred())
+	}
+	if !got.Done() {
+		t.Error("resumed session should be done")
 	}
 }
 

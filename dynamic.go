@@ -11,6 +11,7 @@
 package joininference
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/inference"
@@ -145,40 +146,26 @@ func (s *Session) ApplyUpdate(upd *InstanceUpdate) error {
 }
 
 // semijoinApplyUpdate rebuilds the semijoin state against the new version:
-// answers for deleted R rows are dropped, the witness-caching solver is
-// rebuilt (its caches are instance-bound), and the surviving sample is
-// re-checked for consistency — deletes in P can orphan a positive row.
-// The session is mutated only on success.
+// answers for deleted R rows are dropped, the rest replay with a fresh
+// witness-caching solver (its caches are instance-bound), and the replay's
+// CONS⋉ check catches deletes in P that orphan a positive row. The session
+// is mutated only on success.
 func (s *Session) semijoinApplyUpdate(upd *InstanceUpdate) error {
-	st := &semijoinState{
-		u:       s.sj.u,
-		solver:  semijoin.NewSolver(upd.To),
-		labeled: make([]bool, upd.To.R.Len()),
-	}
+	var live []TranscriptEntry
 	for _, e := range s.sj.entries {
-		if !upd.To.RAlive(e.RIndex) {
-			continue
+		if upd.To.RAlive(e.RIndex) {
+			live = append(live, e)
 		}
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
 	}
-	theta, ok, err := st.solver.Consistent(st.sample)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
+	st, err := s.replaySemijoin(upd.To, semijoin.NewSolver(upd.To), live)
+	if errors.Is(err, ErrInconsistent) {
 		return ErrInconsistent
 	}
-	st.current = theta
-	st.valid = true
-	s.sj = st
+	if err != nil {
+		return err
+	}
+	s.sj, s.asked = st, len(st.entries)
 	s.inst = upd.To
-	s.asked = len(st.entries)
 	// Row indexes are stable across versions; only dead rows lose their
 	// accumulated evidence.
 	if s.soft != nil {

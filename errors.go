@@ -25,10 +25,12 @@ var (
 	// ErrUnknownStrategy reports a StrategyID the package does not know.
 	ErrUnknownStrategy = errors.New("joininference: unknown strategy")
 
-	// ErrBadTranscript reports a transcript that cannot be applied to the
-	// instance at hand: malformed JSON, row indexes out of bounds, labels
-	// inconsistent with every predicate, or join/semijoin entries fed to the
-	// wrong kind of session. Wrapped errors carry the offending entry number.
+	// ErrBadTranscript reports a snapshot transcript that cannot be applied
+	// to the instance at hand: row indexes out of bounds, a row or class
+	// answered twice, labels inconsistent with every predicate (those also
+	// wrap ErrInconsistent), or join/semijoin entries fed to the wrong kind
+	// of session. Wrapped errors carry the offending entry number where one
+	// entry is at fault.
 	ErrBadTranscript = errors.New("joininference: bad transcript")
 
 	// ErrBadQuestionRef reports a QuestionRef that does not address this

@@ -154,6 +154,26 @@ func Consistent(inst *relation.Instance, s Sample) (predicate.Pred, bool, error)
 	return theta, ok, nil
 }
 
+// Informative reports whether both labels for tuple ri admit a consistent
+// predicate extending the sample (two CONS⋉ calls) — i.e. whether asking
+// the user about ri would narrow the candidate space.
+func Informative(inst *relation.Instance, s Sample, ri int) (bool, error) {
+	asPos := Sample{Pos: append(append([]int(nil), s.Pos...), ri), Neg: s.Neg}
+	_, okPos, err := Consistent(inst, asPos)
+	if err != nil {
+		return false, err
+	}
+	if !okPos {
+		return false, nil
+	}
+	asNeg := Sample{Pos: s.Pos, Neg: append(append([]int(nil), s.Neg...), ri)}
+	_, okNeg, err := Consistent(inst, asNeg)
+	if err != nil {
+		return false, err
+	}
+	return okNeg, nil
+}
+
 // BruteForce decides CONS⋉ by enumerating every θ ⊆ Ω; usable only for
 // small universes (it panics above 24 pairs). Test oracle for Consistent.
 func BruteForce(inst *relation.Instance, s Sample) (predicate.Pred, bool, error) {

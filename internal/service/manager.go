@@ -153,16 +153,9 @@ type Options struct {
 	// StoreBreaker, when non-nil alongside Store, is the circuit breaker
 	// guarding the persist path (share it with the policy tier via
 	// WithTierBreaker so one store-health verdict governs both). Nil with a
-	// Store builds a private breaker from BreakerThreshold/BreakerCooloff.
+	// Store builds a private breaker with the resilience defaults (5
+	// consecutive failures, 5s cool-off).
 	StoreBreaker *resilience.Breaker
-	// BreakerThreshold and BreakerCooloff configure the private breaker
-	// (defaults 5 consecutive failures, 5s cool-off); ignored when
-	// StoreBreaker is set.
-	BreakerThreshold int
-	BreakerCooloff   time.Duration
-	// PersistQueueLimit bounds the write-behind retry queue (default 1024
-	// session ids).
-	PersistQueueLimit int
 }
 
 // JanitorInterval resolves the sweep cadence: the configured SweepInterval,
@@ -447,14 +440,12 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 		if m.breaker == nil {
 			log := m.log
 			m.breaker = resilience.NewBreaker(resilience.BreakerOptions{
-				Threshold: opts.BreakerThreshold,
-				Cooloff:   opts.BreakerCooloff,
 				OnChange: func(from, to resilience.BreakerState) {
 					log.Warn("store breaker state change", "from", from.String(), "to", to.String())
 				},
 			})
 		}
-		m.pq = newPersistQueue(opts.PersistQueueLimit)
+		m.pq = newPersistQueue()
 	}
 	if opts.Obs != nil {
 		opts.Obs.bind(m)

@@ -40,7 +40,6 @@ type persistQueue struct {
 	mu      sync.Mutex
 	pending []string
 	member  map[string]bool
-	limit   int
 
 	drops   atomic.Int64
 	retries atomic.Int64
@@ -50,13 +49,12 @@ type persistQueue struct {
 	wake chan struct{}
 }
 
-func newPersistQueue(limit int) *persistQueue {
-	if limit <= 0 {
-		limit = 1024
-	}
+// persistQueueLimit bounds the write-behind retry queue, in session ids.
+const persistQueueLimit = 1024
+
+func newPersistQueue() *persistQueue {
 	return &persistQueue{
 		member: make(map[string]bool),
-		limit:  limit,
 		wake:   make(chan struct{}, 1),
 	}
 }
@@ -69,7 +67,7 @@ func (q *persistQueue) add(id string) bool {
 		q.mu.Unlock()
 		return true // already pending; the retry will pick up the newest state
 	}
-	if len(q.pending) >= q.limit {
+	if len(q.pending) >= persistQueueLimit {
 		q.mu.Unlock()
 		q.drops.Add(1)
 		return false

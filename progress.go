@@ -106,64 +106,20 @@ func countDecided(e *inference.Engine, ci int, l Label) int64 {
 	return sum
 }
 
-// Undo retracts the most recent answer. It rebuilds the sample from the
-// transcript, so it costs O(answers) and supports repeated undo back to
-// the empty session.
+// Undo retracts the most recent answer. It rebuilds the session from the
+// shortened transcript, so it costs O(answers) and supports repeated undo
+// back to the empty session.
 func (s *Session) Undo() error {
 	tr := s.Transcript()
 	if len(tr) == 0 {
 		return fmt.Errorf("joininference: nothing to undo")
 	}
-	tr = tr[:len(tr)-1]
-	if s.sj != nil {
-		return s.undoSemijoin(tr)
-	}
-	if err := s.rebuildJoin(tr); err != nil {
+	install, err := s.replay(tr[:len(tr)-1])
+	if err != nil {
 		return err
 	}
+	install()
 	// RND restarts its stream from the seed, matching the fresh strategy.
 	s.rngMark = 0
-	return nil
-}
-
-// rebuildJoin replaces the engine with a fresh one replaying the given
-// transcript (O(answers)); strategy caches are dropped so nothing retains
-// the replaced engine. rngMark is the caller's to adjust: Undo rewinds it,
-// the inconsistent-answer rollback keeps it.
-func (s *Session) rebuildJoin(tr []TranscriptEntry) error {
-	fresh := inference.New(s.engine.Inst, inference.WithClasses(s.engine.Classes()))
-	replayed := 0
-	for _, e := range tr {
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
-		if ci < 0 {
-			return fmt.Errorf("joininference: internal error: transcript tuple (%d,%d) has no class", e.RIndex, e.PIndex)
-		}
-		if err := fresh.Label(ci, Label(e.Positive)); err != nil {
-			return fmt.Errorf("joininference: internal error replaying transcript: %w", err)
-		}
-		replayed++
-	}
-	s.engine = fresh
-	s.asked = replayed
-	s.strat, s.stratErr = nil, nil
-	return nil
-}
-
-// undoSemijoin rebuilds the semijoin sample from the truncated transcript.
-func (s *Session) undoSemijoin(tr []TranscriptEntry) error {
-	// The solver carries over: its witness cache depends only on the
-	// instance, never on the sample being rebuilt.
-	st := &semijoinState{u: s.sj.u, solver: s.sj.solver, labeled: make([]bool, s.inst.R.Len())}
-	for _, e := range tr {
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
-	}
-	s.sj = st
-	s.asked = len(tr)
 	return nil
 }

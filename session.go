@@ -244,9 +244,10 @@ func newSoftState(cfg sessionConfig) *belief.State {
 }
 
 // semijoinState is the semijoin-mode counterpart of the engine: the labeled
-// row sample, the current consistent witness predicate, and the CONS⋉
-// solver whose per-row witness cache and scratch buffers amortize the
-// NP-complete informativeness scans across the whole session.
+// row sample, the consistent witness predicate the solver finds for it,
+// and the CONS⋉ solver whose per-row witness cache and scratch buffers
+// amortize the NP-complete informativeness scans across the whole session.
+// NewSemijoinSession builds the empty state, replaySemijoin every other.
 type semijoinState struct {
 	u       *Universe
 	solver  *semijoin.Solver
@@ -254,7 +255,6 @@ type semijoinState struct {
 	labeled []bool
 	entries []TranscriptEntry
 	current Pred
-	valid   bool
 
 	// pairPos/pairNeg back the hypothetical samples of the pairwise batch
 	// scan, so each of its O(k²) informativeness probes reuses one buffer
@@ -272,13 +272,15 @@ func NewSemijoinSession(inst *Instance, opts ...Option) *Session {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	u := predicate.NewUniverse(inst)
 	return &Session{
 		inst: inst,
 		cfg:  cfg,
 		sj: &semijoinState{
-			u:       predicate.NewUniverse(inst),
+			u:       u,
 			solver:  semijoin.NewSolver(inst),
 			labeled: make([]bool, inst.R.Len()),
+			current: predicate.Omega(u), // Ω: the CONS⋉ witness of the empty sample
 		},
 		soft: newSoftState(cfg),
 	}
@@ -811,15 +813,8 @@ func (s *Session) Answer(q Question, l Label) error {
 	}
 	if err := s.engine.Label(q.classIndex, l); err != nil {
 		if err == inference.ErrInconsistent {
-			// Label records the example before detecting inconsistency;
-			// roll the engine back so the rejected answer leaves no trace —
-			// Transcript and Snapshot must reflect only accepted answers.
-			// rngMark stays: the stream position of the last accepted
-			// answer is unchanged, so a re-fetched question re-derives
-			// identically (same as after ResumeSession).
-			tr := s.Transcript()
-			if rbErr := s.rebuildJoin(tr[:len(tr)-1]); rbErr != nil {
-				return fmt.Errorf("joininference: rolling back inconsistent answer: %w", rbErr)
+			if _, rbErr := s.rollbackJoin(); rbErr != nil {
+				return rbErr
 			}
 			return ErrInconsistent
 		}
@@ -828,6 +823,23 @@ func (s *Session) Answer(q Question, l Label) error {
 	s.asked++
 	s.markRNG()
 	return nil
+}
+
+// rollbackJoin undoes an inconsistent engine.Label, which records the
+// example before detecting the contradiction, by replaying the accepted
+// answers — Transcript and Snapshot must reflect only those. It returns
+// them. rngMark stays: the stream position of the last accepted answer is
+// unchanged, so a re-fetched question re-derives identically (same as
+// after ResumeSession).
+func (s *Session) rollbackJoin() ([]TranscriptEntry, error) {
+	tr := s.Transcript()
+	tr = tr[:len(tr)-1]
+	install, err := s.replay(tr)
+	if err != nil {
+		return nil, fmt.Errorf("joininference: rolling back inconsistent answer: %w", err)
+	}
+	install()
+	return tr, nil
 }
 
 // markRNG records the RND source position after a recorded answer, so a
@@ -847,26 +859,39 @@ func (s *Session) semijoinAnswer(q Question, l Label) error {
 	if s.sj.labeled[ri] {
 		return fmt.Errorf("joininference: row %d already labeled", ri)
 	}
-	next := semijoin.Sample{Pos: s.sj.sample.Pos, Neg: s.sj.sample.Neg}
+	ok, err := s.semijoinCommit(ri, l)
+	if err == nil && !ok {
+		err = ErrInconsistent
+	}
+	return err
+}
+
+// semijoinCommit is the one "sample plus one row" step of the hard and
+// soft answer paths: it decides CONS⋉ for the sample with unlabeled row ri
+// labeled l and records the answer when a predicate survives. ok=false
+// leaves the session untouched.
+func (s *Session) semijoinCommit(ri int, l Label) (bool, error) {
+	// Three-index slices make the appends copy, so the committed sample is
+	// never written through while the candidate is decided.
+	next := s.sj.sample
 	if l == Positive {
-		next.Pos = append(append([]int(nil), next.Pos...), ri)
+		next.Pos = append(next.Pos[:len(next.Pos):len(next.Pos)], ri)
 	} else {
-		next.Neg = append(append([]int(nil), next.Neg...), ri)
+		next.Neg = append(next.Neg[:len(next.Neg):len(next.Neg)], ri)
 	}
 	theta, ok, err := s.sj.solver.Consistent(next)
 	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
+		return false, fmt.Errorf("joininference: %w", err)
 	}
 	if !ok {
-		return ErrInconsistent
+		return false, nil
 	}
 	s.sj.sample = next
 	s.sj.labeled[ri] = true
 	s.sj.entries = append(s.sj.entries, TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)})
 	s.sj.current = theta
-	s.sj.valid = true
 	s.asked++
-	return nil
+	return true, nil
 }
 
 // AnswerBatch records a batch of answers from a parallel dispatch (e.g. a
@@ -913,14 +938,6 @@ func (s *Session) IsInformative(q Question) bool {
 // sessions it is a consistent witness predicate for the answers so far.
 func (s *Session) Inferred() Pred {
 	if s.sj != nil {
-		if !s.sj.valid {
-			theta, ok, err := s.sj.solver.Consistent(s.sj.sample)
-			if err != nil || !ok {
-				return Pred{}
-			}
-			s.sj.current = theta
-			s.sj.valid = true
-		}
 		return s.sj.current
 	}
 	return s.engine.Result()

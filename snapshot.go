@@ -319,15 +319,17 @@ func ResumeSession(inst *Instance, snap *Snapshot, opts ...Option) (*Session, er
 	}
 	all := append(base, opts...)
 	var s *Session
-	var err error
 	if snap.Kind == SnapshotKindSemijoin {
-		s, err = resumeSemijoin(inst, snap, all)
+		s = NewSemijoinSession(inst, all...)
 	} else {
-		s, err = resumeJoin(inst, snap, all)
+		s = NewSession(inst, all...)
+		s.rngMark = snap.RNGPos
 	}
+	install, err := s.replay(snap.Transcript)
 	if err != nil {
 		return nil, err
 	}
+	install()
 	if err := s.restoreSoft(snap.Soft); err != nil {
 		return nil, err
 	}
@@ -359,31 +361,4 @@ func (s *Session) restoreSoft(soft *SoftSnapshot) error {
 		s.soft.Restore(key, belief.Belief{Pos: b.Pos, Neg: b.Neg}, recs)
 	}
 	return nil
-}
-
-func resumeJoin(inst *Instance, snap *Snapshot, opts []Option) (*Session, error) {
-	s := NewSession(inst, opts...)
-	if err := s.replayEntries(snap.Transcript, false); err != nil {
-		return nil, err
-	}
-	s.rngMark = snap.RNGPos
-	return s, nil
-}
-
-func resumeSemijoin(inst *Instance, snap *Snapshot, opts []Option) (*Session, error) {
-	s := NewSemijoinSession(inst, opts...)
-	// Kind/entry agreement was already enforced by snap.validate(), so
-	// every entry here is a semijoin entry (PIndex -1).
-	for i, e := range snap.Transcript {
-		q, err := s.QuestionByRef(QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
-		}
-		// semijoinAnswer re-runs the CONS⋉ consistency check per entry, so a
-		// snapshot from different data surfaces as ErrInconsistent here.
-		if err := s.semijoinAnswer(q, Label(e.Positive)); err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
-		}
-	}
-	return s, nil
 }

@@ -324,31 +324,39 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoadTranscriptValidation(t *testing.T) {
+// TestResumeValidatesTranscriptEntries: entries that do not fit the
+// instance — rows out of range, or a row or class labeled twice — fail the
+// resume with ErrBadTranscript naming the entry, for both session kinds.
+func TestResumeValidatesTranscriptEntries(t *testing.T) {
 	inst := paperdata.FlightHotel()
-	good := `{"r":0,"p":1,"positive":true}
-{"r":1,"p":-1,"positive":false}
-`
-	entries, err := LoadTranscript(inst, strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
+	good := TranscriptEntry{RIndex: 0, PIndex: 1, Positive: true}
+	sjGood := TranscriptEntry{RIndex: 1, PIndex: -1, Positive: false}
+	cases := []struct {
+		kind string
+		bad  TranscriptEntry
+	}{
+		{SnapshotKindJoin, TranscriptEntry{RIndex: -1, PIndex: 0, Positive: true}},
+		{SnapshotKindJoin, TranscriptEntry{RIndex: 99, PIndex: 0, Positive: true}},
+		{SnapshotKindJoin, TranscriptEntry{RIndex: 0, PIndex: 99, Positive: true}},
+		{SnapshotKindJoin, good},
+		{SnapshotKindSemijoin, TranscriptEntry{RIndex: -1, PIndex: -1, Positive: true}},
+		{SnapshotKindSemijoin, TranscriptEntry{RIndex: 99, PIndex: -1, Positive: true}},
+		{SnapshotKindSemijoin, sjGood},
 	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(entries))
-	}
-	for _, bad := range []string{
-		`{"r":-1,"p":0,"positive":true}`,
-		`{"r":99,"p":0,"positive":true}`,
-		`{"r":0,"p":99,"positive":true}`,
-		`{"r":0,"p":-7,"positive":true}`,
-		`garbage`,
-	} {
-		if _, err := LoadTranscript(inst, strings.NewReader(bad)); !errors.Is(err, ErrBadTranscript) {
-			t.Errorf("LoadTranscript(%q): want ErrBadTranscript, got %v", bad, err)
+	for _, tc := range cases {
+		first := good
+		if tc.kind == SnapshotKindSemijoin {
+			first = sjGood
 		}
-	}
-	if _, err := ReplayTranscript(inst, strings.NewReader(`{"r":1,"p":-1,"positive":false}`)); !errors.Is(err, ErrBadTranscript) {
-		t.Errorf("semijoin entry in join replay: want ErrBadTranscript, got %v", err)
+		snap := &Snapshot{Version: 1, Kind: tc.kind, Asked: 2, Transcript: []TranscriptEntry{first, tc.bad}}
+		_, err := ResumeSession(inst, snap)
+		if !errors.Is(err, ErrBadTranscript) || !strings.Contains(err.Error(), "entry 2") {
+			t.Errorf("%s entry %+v: want ErrBadTranscript at entry 2, got %v", tc.kind, tc.bad, err)
+		}
+		snap.Asked, snap.Transcript = 1, snap.Transcript[:1]
+		if _, err := ResumeSession(inst, snap); err != nil {
+			t.Errorf("%s: valid first entry rejected: %v", tc.kind, err)
+		}
 	}
 }
 
@@ -467,6 +475,55 @@ func TestResumeInconsistentSnapshotSignalsPublicSentinel(t *testing.T) {
 	}
 	if _, err := ResumeSession(inst, snap); !errors.Is(err, ErrInconsistent) || !errors.Is(err, ErrBadTranscript) {
 		t.Errorf("want ErrInconsistent wrapped under ErrBadTranscript, got %v", err)
+	}
+}
+
+// twinRowsInstance has two identical R rows: every semijoin predicate
+// keeps both or neither, so labeling them apart is inconsistent, while
+// either row alone takes either label.
+func twinRowsInstance(t *testing.T) *Instance {
+	t.Helper()
+	rs, err := NewSchema("R", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewSchema("P", "C", "D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelation(rs)
+	r.MustAddTuple("x", "y")
+	r.MustAddTuple("x", "y")
+	p := NewRelation(ps)
+	p.MustAddTuple("x", "y")
+	inst, err := NewInstance(r, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestResumeInconsistentSemijoinSnapshotSignalsPublicSentinel: the semijoin
+// twin of the join test above — a semijoin snapshot whose labels fit no
+// predicate surfaces ErrInconsistent wrapped under ErrBadTranscript.
+func TestResumeInconsistentSemijoinSnapshotSignalsPublicSentinel(t *testing.T) {
+	inst := twinRowsInstance(t)
+	snap := &Snapshot{
+		Version: SnapshotVersion,
+		Kind:    SnapshotKindSemijoin,
+		Asked:   2,
+		Transcript: []TranscriptEntry{
+			{RIndex: 0, PIndex: -1, Positive: true},
+			{RIndex: 1, PIndex: -1, Positive: false},
+		},
+	}
+	if _, err := ResumeSession(inst, snap); !errors.Is(err, ErrInconsistent) || !errors.Is(err, ErrBadTranscript) {
+		t.Errorf("want ErrInconsistent wrapped under ErrBadTranscript, got %v", err)
+	}
+	// Each half alone resumes fine: the failure is the contradiction.
+	snap.Asked, snap.Transcript = 1, snap.Transcript[1:]
+	if _, err := ResumeSession(inst, snap); err != nil {
+		t.Errorf("consistent half: %v", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 package joininference
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/belief"
 	"repro/internal/inference"
 	"repro/internal/predicate"
-	"repro/internal/semijoin"
 )
 
 // WithSoftInference turns on the error-tolerant soft layer: answers become
@@ -266,58 +266,109 @@ func (s *Session) disputedQuestions(k int) []Question {
 }
 
 // softCommitJoin pushes a threshold-clearing label into the hard engine,
-// recovering via retraction when it contradicts the committed sample.
+// searching for a repair when it contradicts the committed sample.
 func (s *Session) softCommitJoin(q Question, l Label) error {
 	ci := q.classIndex
 	if s.engine.IsLabeled(ci) && s.engine.CertainPositive(ci) == bool(l) {
 		return nil // already committed with this label; the extra evidence is absorbed
 	}
+	newEntry := TranscriptEntry{RIndex: q.RIndex, PIndex: q.PIndex, Positive: bool(l)}
 	if err := s.engine.Label(ci, l); err != nil {
 		if err == inference.ErrInconsistent {
-			// Label records the example before detecting inconsistency; roll
-			// back first so the committed transcript is clean, then search
-			// for a retraction within the error budget.
-			tr := s.Transcript()
-			if rbErr := s.rebuildJoin(tr[:len(tr)-1]); rbErr != nil {
-				return fmt.Errorf("joininference: rolling back inconsistent answer: %w", rbErr)
+			committed, rbErr := s.rollbackJoin()
+			if rbErr != nil {
+				return rbErr
 			}
-			newEntry := TranscriptEntry{RIndex: q.RIndex, PIndex: q.PIndex, Positive: bool(l)}
-			return s.softRecoverJoin(tr[:len(tr)-1], newEntry, ci)
+			return s.softRepair(committed, newEntry, ci)
 		}
 		return fmt.Errorf("joininference: %w", err)
 	}
 	s.asked++
 	s.markRNG()
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: q.RIndex, PIndex: q.PIndex}, Positive: bool(l), Votes: s.workerVotes(ci)})
+	s.pushAnswer(SoftCommit, newEntry, ci)
 	return nil
 }
 
-// softRecoverJoin searches for the cheapest repair that restores
-// consistency, bounded by the remaining error budget: discard the new
-// answer, or retract committed ones. Candidates — the new answer included —
-// rank by suspicion (see joinRetractionCandidates); phase 1 tries single
-// repairs in that order, phase 2 grows a prefix of the committed
-// candidates. A discarded or retracted answer keeps its accumulated votes:
-// its question is disputed, NextQuestions re-serves it, and the fresh
-// evidence either re-commits it or singles out the actual lie at the next
-// contradiction. When nothing within budget helps, the new answer is
-// rejected exactly like the hard path.
-func (s *Session) softRecoverJoin(committed []TranscriptEntry, newEntry TranscriptEntry, newKey int) error {
+// softCommitSemijoin is the semijoin counterpart of softCommitJoin. A
+// commit flipping the row's own earlier label goes straight to the repair
+// search (the row cannot sit on both sides of the sample).
+func (s *Session) softCommitSemijoin(q Question, l Label) error {
+	ri := q.RIndex
+	newEntry := TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)}
+	if s.sj.labeled[ri] {
+		if s.semijoinLabelOf(ri) == bool(l) {
+			return nil // already committed with this label
+		}
+		return s.softRepair(s.sj.entries, newEntry, ri)
+	}
+	ok, err := s.semijoinCommit(ri, l)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return s.softRepair(s.sj.entries, newEntry, ri)
+	}
+	s.pushAnswer(SoftCommit, newEntry, ri)
+	return nil
+}
+
+// semijoinLabelOf returns the committed label of labeled row ri.
+func (s *Session) semijoinLabelOf(ri int) (positive bool) {
+	for _, e := range s.sj.entries {
+		if e.RIndex == ri {
+			return e.Positive
+		}
+	}
+	return false
+}
+
+// pushAnswer queues a commit or retraction event for one answer, with the
+// votes recorded under its belief key.
+func (s *Session) pushAnswer(kind SoftEventKind, e TranscriptEntry, key int) {
+	s.pushEvent(SoftEvent{Kind: kind, Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex},
+		Positive: e.Positive, Votes: s.workerVotes(key)})
+}
+
+// entryKey returns the belief key of a transcript entry: its class for
+// join sessions, its row for semijoin sessions.
+func (s *Session) entryKey(e TranscriptEntry) int {
+	if s.sj != nil {
+		return e.RIndex
+	}
+	return s.classIndexFor(e.RIndex, e.PIndex)
+}
+
+// softRepair is the one retraction search of both modes: it looks for the
+// cheapest repair, within the remaining error budget, that makes the
+// committed answers plus newEntry consistent — a minimal repair of the
+// answer set. The candidates are the committed answers and the new answer
+// itself (discarding it), tried one at a time in repairCandidates'
+// suspicion order. Only a semijoin flip of a committed row has no discard
+// candidate, so only it can need more than one retraction; the search
+// then grows a prefix of the order up to the budget. A discarded or
+// retracted answer keeps its accumulated votes: its question is disputed,
+// NextQuestions re-serves it, and the fresh evidence either re-commits it
+// or singles out the actual lie at the next contradiction. When nothing
+// within budget helps, the new answer is rejected exactly like the hard
+// path.
+func (s *Session) softRepair(committed []TranscriptEntry, newEntry TranscriptEntry, newKey int) error {
 	if remaining := s.soft.Remaining(); remaining > 0 {
-		cands := s.joinRetractionCandidates(committed, newEntry)
-		dropped := cands[:0:0]
+		cands := s.repairCandidates(committed, newEntry, newKey)
 		for _, i := range cands {
 			if i == len(committed) {
-				return s.performDiscard(newEntry, newKey)
+				// Discard: the committed sample stands, nothing commits,
+				// and re-asks accumulate on top of the new answer's votes.
+				s.soft.Spent++
+				s.pushAnswer(SoftRetract, newEntry, newKey)
+				return nil
 			}
-			dropped = append(dropped, i)
-			if trial, ok := s.joinTrial(committed, []int{i}, newEntry); ok {
-				return s.performJoinRetraction(committed, []int{i}, trial, newKey, newEntry)
+			if ok, err := s.tryRepair(committed, []int{i}, newEntry, newKey); ok || err != nil {
+				return err
 			}
 		}
-		for k := 2; k <= remaining && k <= len(dropped); k++ {
-			if trial, ok := s.joinTrial(committed, dropped[:k], newEntry); ok {
-				return s.performJoinRetraction(committed, dropped[:k], trial, newKey, newEntry)
+		for k := 2; k <= remaining && k <= len(cands); k++ {
+			if ok, err := s.tryRepair(committed, cands[:k], newEntry, newKey); ok || err != nil {
+				return err
 			}
 		}
 	}
@@ -325,56 +376,47 @@ func (s *Session) softRecoverJoin(committed []TranscriptEntry, newEntry Transcri
 	return ErrInconsistent
 }
 
-// performDiscard spends budget on the incoming answer itself: the committed
-// sample stands, the new answer is set aside as disputed (its votes stay —
-// re-asks accumulate on top of them) and nothing commits. Shared by join
-// and semijoin recovery; the engine was already rolled back by the caller.
-func (s *Session) performDiscard(newEntry TranscriptEntry, newKey int) error {
-	s.soft.Spent++
-	s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: newEntry.PIndex},
-		Positive: newEntry.Positive, Votes: s.workerVotes(newKey)})
-	return nil
-}
-
-// joinRetractionCandidates orders the answers in conflict — the committed
-// entries plus the incoming one (index len(committed), meaning "discard the
-// new answer") — by suspicion: ascending belief magnitude first (the answer
-// with the least evidence behind it is the most likely lie), then negatives
-// the trial T(S+) violates (the version-space math says an inconsistency is
-// always "tpos ⊆ some negative's θ", so one of those negatives is lying
-// whenever the positives are honest), then most recent answer first — an
-// old commit has survived every consistency check since it was made, while
-// the newest one has survived none. With one vote everywhere the first
-// repair is a guess; if it was wrong, the disputed question's re-asks grow
-// its belief and the next contradiction ranks the actual lie first.
-func (s *Session) joinRetractionCandidates(committed []TranscriptEntry, newEntry TranscriptEntry) []int {
-	tpos := predicate.Omega(s.engine.U)
-	for _, e := range committed {
-		if e.Positive {
-			tpos = tpos.Intersect(s.entryTheta(e))
-		}
+// repairCandidates orders the repair candidates by suspicion: committed
+// answers by index, plus len(committed) meaning "discard the new answer" —
+// unless the new answer's key is already committed (a semijoin flip shares
+// its belief key with the committed entry, and the evidence as a whole now
+// favors the new label, so discarding it is never the right repair).
+//
+// Ascending belief magnitude ranks first: the answer with the least
+// evidence behind it is the most likely lie. Join sessions then rank
+// negatives the trial T(S+) violates first — the version-space math says
+// an inconsistency is always "tpos ⊆ some negative's θ", so one of those
+// negatives is lying whenever the positives are honest; semijoin has no
+// cheap equivalent, since consistency itself is the NP-complete CONS⋉.
+// Last, the most recent answer comes first: an old commit has survived
+// every consistency check since it was made, the newest one none. With one
+// vote everywhere the first repair is a guess; if it was wrong, the
+// disputed question's re-asks grow its belief and the next contradiction
+// ranks the actual lie first.
+func (s *Session) repairCandidates(committed []TranscriptEntry, newEntry TranscriptEntry, newKey int) []int {
+	entries := committed
+	if !s.softKeyCommitted(newKey) {
+		entries = append(committed[:len(committed):len(committed)], newEntry)
 	}
-	if newEntry.Positive {
-		tpos = tpos.Intersect(s.entryTheta(newEntry))
+	var tpos Pred // T(S+) of the trial, for join sessions
+	if s.sj == nil {
+		tpos = predicate.Omega(s.engine.U)
+		for _, e := range entries {
+			if e.Positive {
+				tpos = tpos.Intersect(s.entryTheta(e))
+			}
+		}
 	}
 	type cand struct {
 		idx      int
-		violated bool
 		belief   float64
+		violated bool
 	}
-	cands := make([]cand, 0, len(committed)+1)
-	for i, e := range committed {
-		c := cand{idx: i, belief: s.soft.Get(s.classIndexFor(e.RIndex, e.PIndex)).Abs()}
-		if !e.Positive && tpos.MoreGeneralThan(s.entryTheta(e)) {
-			c.violated = true
-		}
-		cands = append(cands, c)
+	cands := make([]cand, len(entries))
+	for i, e := range entries {
+		cands[i] = cand{idx: i, belief: s.soft.Get(s.entryKey(e)).Abs(),
+			violated: s.sj == nil && !e.Positive && tpos.MoreGeneralThan(s.entryTheta(e))}
 	}
-	nc := cand{idx: len(committed), belief: s.soft.Get(s.classIndexFor(newEntry.RIndex, newEntry.PIndex)).Abs()}
-	if !newEntry.Positive && tpos.MoreGeneralThan(s.entryTheta(newEntry)) {
-		nc.violated = true
-	}
-	cands = append(cands, nc)
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].belief != cands[j].belief {
 			return cands[i].belief < cands[j].belief
@@ -391,26 +433,32 @@ func (s *Session) joinRetractionCandidates(committed []TranscriptEntry, newEntry
 	return out
 }
 
+// tryRepair replays the committed answers minus the drop indexes plus
+// newEntry. When that is consistent it installs the replay, spends one
+// unit of budget per retracted answer and emits the retract and commit
+// events; the retracted answers keep their beliefs. rngMark is kept, like
+// the hard path's rollback: the committed answer count changed but the
+// RND stream position of the last draw did not.
+func (s *Session) tryRepair(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry, newKey int) (bool, error) {
+	install, err := s.replay(append(dropEntries(committed, drop), newEntry))
+	if errors.Is(err, ErrBadTranscript) {
+		return false, nil // still inconsistent, or the new answer's row is still committed
+	}
+	if err != nil {
+		return false, err
+	}
+	for _, i := range drop {
+		s.soft.Spent++
+		s.pushAnswer(SoftRetract, committed[i], s.entryKey(committed[i]))
+	}
+	install()
+	s.pushAnswer(SoftCommit, newEntry, newKey)
+	return true, nil
+}
+
 // entryTheta returns the most specific predicate of the entry's T-class.
 func (s *Session) entryTheta(e TranscriptEntry) Pred {
 	return s.engine.Classes()[s.classIndexFor(e.RIndex, e.PIndex)].Theta
-}
-
-// joinTrial builds committed minus the dropped indexes plus newEntry and
-// reports whether the result replays consistently on a fresh engine.
-func (s *Session) joinTrial(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry) ([]TranscriptEntry, bool) {
-	trial := append(dropEntries(committed, drop), newEntry)
-	fresh := inference.New(s.engine.Inst, inference.WithClasses(s.engine.Classes()))
-	for _, e := range trial {
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
-		if ci < 0 {
-			return nil, false
-		}
-		if err := fresh.Label(ci, Label(e.Positive)); err != nil {
-			return nil, false
-		}
-	}
-	return trial, true
 }
 
 // dropEntries copies entries, skipping the listed indexes.
@@ -426,178 +474,6 @@ func dropEntries(entries []TranscriptEntry, drop []int) []TranscriptEntry {
 		}
 	}
 	return out
-}
-
-// performJoinRetraction spends budget on the dropped entries, rebuilds the
-// engine on the trial transcript, and emits the retract/commit events. The
-// dropped entries keep their beliefs: their questions re-open as disputed,
-// and the retained votes make a wrongly retracted answer win the next
-// contradiction once re-asks corroborate it. rngMark is kept, like the hard
-// path's rollback: the committed answer count changed but the RND stream
-// position of the last draw did not.
-func (s *Session) performJoinRetraction(committed []TranscriptEntry, drop []int, trial []TranscriptEntry, newKey int, newEntry TranscriptEntry) error {
-	for _, i := range drop {
-		e := committed[i]
-		k := s.classIndexFor(e.RIndex, e.PIndex)
-		s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive, Votes: s.workerVotes(k)})
-		s.soft.Spent++
-	}
-	if err := s.rebuildJoin(trial); err != nil {
-		return fmt.Errorf("joininference: rebuilding after retraction: %w", err)
-	}
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: newEntry.PIndex}, Positive: newEntry.Positive, Votes: s.workerVotes(newKey)})
-	return nil
-}
-
-// softCommitSemijoin is the semijoin counterpart of softCommitJoin. A
-// commit flipping the row's own earlier label goes straight to the
-// retraction search (the row cannot sit on both sides of the sample).
-func (s *Session) softCommitSemijoin(q Question, l Label) error {
-	ri := q.RIndex
-	newEntry := TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)}
-	if s.sj.labeled[ri] {
-		if prev, ok := s.semijoinLabelOf(ri); ok && prev == bool(l) {
-			return nil // already committed with this label
-		}
-		return s.softRecoverSemijoin(newEntry, ri)
-	}
-	next := semijoin.Sample{Pos: s.sj.sample.Pos, Neg: s.sj.sample.Neg}
-	if l == Positive {
-		next.Pos = append(append([]int(nil), next.Pos...), ri)
-	} else {
-		next.Neg = append(append([]int(nil), next.Neg...), ri)
-	}
-	theta, ok, err := s.sj.solver.Consistent(next)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
-		return s.softRecoverSemijoin(newEntry, ri)
-	}
-	s.sj.sample = next
-	s.sj.labeled[ri] = true
-	s.sj.entries = append(s.sj.entries, newEntry)
-	s.sj.current = theta
-	s.sj.valid = true
-	s.asked++
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: ri, PIndex: -1}, Positive: bool(l), Votes: s.workerVotes(ri)})
-	return nil
-}
-
-// semijoinLabelOf returns the committed label of row ri.
-func (s *Session) semijoinLabelOf(ri int) (positive, ok bool) {
-	for _, e := range s.sj.entries {
-		if e.RIndex == ri {
-			return e.Positive, true
-		}
-	}
-	return false, false
-}
-
-// softRecoverSemijoin mirrors softRecoverJoin for row samples. Semijoin has
-// no cheap "violated negative" identification (consistency itself is the
-// NP-complete CONS⋉), so candidates — the incoming answer included, as
-// index len(committed) — order purely by ascending belief magnitude, most
-// recent answer first (see joinRetractionCandidates).
-func (s *Session) softRecoverSemijoin(newEntry TranscriptEntry, newKey int) error {
-	committed := s.sj.entries
-	if remaining := s.soft.Remaining(); remaining > 0 {
-		type cand struct {
-			idx    int
-			belief float64
-		}
-		cands := make([]cand, 0, len(committed)+1)
-		for i, e := range committed {
-			cands = append(cands, cand{idx: i, belief: s.soft.Get(e.RIndex).Abs()})
-		}
-		// A flip of an already-labeled row shares its belief key with the
-		// committed entry — the evidence as a whole now favors the new
-		// label, so discarding the new answer is never the right repair.
-		if !s.sj.labeled[newEntry.RIndex] {
-			cands = append(cands, cand{idx: len(committed), belief: s.soft.Get(newKey).Abs()})
-		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].belief != cands[j].belief {
-				return cands[i].belief < cands[j].belief
-			}
-			return cands[i].idx > cands[j].idx
-		})
-		order := make([]int, 0, len(cands))
-		for _, c := range cands {
-			if c.idx == len(committed) {
-				continue
-			}
-			order = append(order, c.idx)
-		}
-		for _, c := range cands {
-			if c.idx == len(committed) {
-				return s.performDiscard(newEntry, newKey)
-			}
-			if trial, ok, err := s.semijoinTrial(committed, []int{c.idx}, newEntry); err != nil {
-				return err
-			} else if ok {
-				return s.performSemijoinRetraction(committed, []int{c.idx}, trial, newKey, newEntry)
-			}
-		}
-		for k := 2; k <= remaining && k <= len(order); k++ {
-			if trial, ok, err := s.semijoinTrial(committed, order[:k], newEntry); err != nil {
-				return err
-			} else if ok {
-				return s.performSemijoinRetraction(committed, order[:k], trial, newKey, newEntry)
-			}
-		}
-	}
-	s.soft.Reset(newKey)
-	return ErrInconsistent
-}
-
-// semijoinTrial checks whether committed minus drop plus newEntry admits a
-// consistent witness predicate.
-func (s *Session) semijoinTrial(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry) ([]TranscriptEntry, bool, error) {
-	trial := append(dropEntries(committed, drop), newEntry)
-	var sm semijoin.Sample
-	seen := make(map[int]bool, len(trial))
-	for _, e := range trial {
-		if seen[e.RIndex] {
-			return nil, false, nil // row on both sides: never consistent
-		}
-		seen[e.RIndex] = true
-		if e.Positive {
-			sm.Pos = append(sm.Pos, e.RIndex)
-		} else {
-			sm.Neg = append(sm.Neg, e.RIndex)
-		}
-	}
-	_, ok, err := s.sj.solver.Consistent(sm)
-	if err != nil {
-		return nil, false, fmt.Errorf("joininference: %w", err)
-	}
-	return trial, ok, nil
-}
-
-// performSemijoinRetraction rebuilds the semijoin state on the trial
-// transcript (the solver carries over: its witness cache is instance-bound)
-// and emits the events.
-func (s *Session) performSemijoinRetraction(committed []TranscriptEntry, drop []int, trial []TranscriptEntry, newKey int, newEntry TranscriptEntry) error {
-	for _, i := range drop {
-		e := committed[i]
-		s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: e.RIndex, PIndex: -1}, Positive: e.Positive, Votes: s.workerVotes(e.RIndex)})
-		s.soft.Spent++
-	}
-	st := &semijoinState{u: s.sj.u, solver: s.sj.solver, labeled: make([]bool, s.inst.R.Len())}
-	for _, e := range trial {
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
-	}
-	s.sj = st
-	s.asked = len(trial)
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: -1}, Positive: newEntry.Positive, Votes: s.workerVotes(newKey)})
-	return nil
 }
 
 // AnswerAttribution scores one committed answer's contribution to the
@@ -633,16 +509,15 @@ func (s *Session) Explain() []AnswerAttribution {
 	for i, e := range tr {
 		out[i] = AnswerAttribution{Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive}
 		if s.soft != nil {
-			key := e.RIndex
-			if s.sj == nil {
-				key = s.classIndexFor(e.RIndex, e.PIndex)
-			}
-			out[i].Workers = s.workerVotes(key)
+			out[i].Workers = s.workerVotes(s.entryKey(e))
 		}
 	}
 	if s.sj != nil {
+		// The session's witness is already the full-sample CONS⋉ decision;
+		// each probe decides the sample without one answer.
 		for i := range out {
-			if changed, err := s.semijoinDropOneChanges(tr, i); err == nil && changed {
+			sub, err := s.replaySemijoin(s.inst, s.sj.solver, dropEntries(tr, []int{i}))
+			if errors.Is(err, ErrInconsistent) || (err == nil && !sub.current.Equal(s.sj.current)) {
 				out[i].Critical = true
 				out[i].Score = 1
 			}
@@ -665,32 +540,4 @@ func (s *Session) Explain() []AnswerAttribution {
 		out[i].Critical = crit[i]
 	}
 	return out
-}
-
-// semijoinDropOneChanges reports whether removing answer i changes the
-// consistent witness predicate the solver finds for the remaining sample.
-func (s *Session) semijoinDropOneChanges(tr []TranscriptEntry, i int) (bool, error) {
-	full, fullOK, err := s.sj.solver.Consistent(s.sj.sample)
-	if err != nil {
-		return false, err
-	}
-	var sm semijoin.Sample
-	for j, e := range tr {
-		if j == i {
-			continue
-		}
-		if e.Positive {
-			sm.Pos = append(sm.Pos, e.RIndex)
-		} else {
-			sm.Neg = append(sm.Neg, e.RIndex)
-		}
-	}
-	sub, subOK, err := s.sj.solver.Consistent(sm)
-	if err != nil {
-		return false, err
-	}
-	if fullOK != subOK {
-		return true, nil
-	}
-	return fullOK && !full.Equal(sub), nil
 }

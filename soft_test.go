@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/semijoin"
 	"repro/internal/synth"
 )
 
@@ -439,6 +440,134 @@ func TestExplainAttribution(t *testing.T) {
 	attrs := s.Explain()
 	if len(attrs) != s.Questions() {
 		t.Fatalf("semijoin: %d attributions for %d answers", len(attrs), s.Questions())
+	}
+}
+
+// TestExplainSemijoinCriticalMatchesDropOne: a semijoin answer is Critical
+// exactly when dropping it alone changes the CONS⋉ outcome — checked
+// against drop-one samples decided by the package-level reference solver.
+func TestExplainSemijoinCriticalMatchesDropOne(t *testing.T) {
+	liar, liarGoal := liarInstance(t)
+	sjInst, sjGoal := sjLiarInstance(t)
+	critical := 0
+	for _, fx := range []struct {
+		inst *Instance
+		goal Pred
+	}{{liar, liarGoal}, {sjInst, sjGoal}} {
+		s := NewSemijoinSession(fx.inst, WithStrategy(StrategyTD), WithSeed(7))
+		if _, err := Run(context.Background(), s, HonestOracle(fx.goal)); err != nil {
+			t.Fatal(err)
+		}
+		tr := s.Transcript()
+		attrs := s.Explain()
+		if len(attrs) != len(tr) {
+			t.Fatalf("%d attributions for %d answers", len(attrs), len(tr))
+		}
+		sampleOf := func(skip int) semijoin.Sample {
+			var sm semijoin.Sample
+			for j, e := range tr {
+				switch {
+				case j == skip:
+				case e.Positive:
+					sm.Pos = append(sm.Pos, e.RIndex)
+				default:
+					sm.Neg = append(sm.Neg, e.RIndex)
+				}
+			}
+			return sm
+		}
+		full, fullOK, err := semijoin.Consistent(fx.inst, sampleOf(-1))
+		if err != nil || !fullOK {
+			t.Fatalf("full sample: ok %v, err %v", fullOK, err)
+		}
+		for i, a := range attrs {
+			sub, subOK, err := semijoin.Consistent(fx.inst, sampleOf(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fullOK != subOK || (subOK && !full.Equal(sub))
+			if a.Critical != want || a.Score != map[bool]float64{false: 0, true: 1}[want] {
+				t.Fatalf("answer %d (%+v): critical %v score %v, want critical %v", i, a.Ref, a.Critical, a.Score, want)
+			}
+			if want {
+				critical++
+			}
+		}
+	}
+	if critical == 0 {
+		t.Fatal("no critical semijoin answer in either fixture")
+	}
+}
+
+// TestSoftSemijoinFlipNeedsTwoRetractions: flipping a committed row whose
+// twin is committed with the same label cannot be repaired by retracting
+// either answer alone (the twins would disagree, or the row would sit on
+// both sides), so the search reaches the two-answer repair. With a budget
+// of one the flip is rejected and the session is left as it was.
+func TestSoftSemijoinFlipNeedsTwoRetractions(t *testing.T) {
+	inst := twinRowsInstance(t)
+	for _, budget := range []int{2, 1} {
+		s := NewSemijoinSession(inst, WithErrorBudget(budget))
+		q0, err := s.QuestionByRef(QuestionRef{RIndex: 0, PIndex: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, err := s.QuestionByRef(QuestionRef{RIndex: 1, PIndex: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []Question{q0, q1} {
+			if err := s.AnswerVote(q, Positive, Vote{Worker: "a"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first opposing vote cancels row 0's belief; the second flips it.
+		if err := s.AnswerVote(q0, Negative, Vote{Worker: "b"}); err != nil {
+			t.Fatal(err)
+		}
+		err = s.AnswerVote(q0, Negative, Vote{Worker: "c"})
+		evs := s.SoftEvents()
+		if budget == 1 {
+			if !errors.Is(err, ErrInconsistent) {
+				t.Fatalf("budget 1: flip err = %v, want ErrInconsistent", err)
+			}
+			want := []TranscriptEntry{{RIndex: 0, PIndex: -1, Positive: true}, {RIndex: 1, PIndex: -1, Positive: true}}
+			if !sameEntries(s.Transcript(), want) || s.SoftStats().Retractions != 0 || len(evs) != 2 {
+				t.Fatalf("budget 1: transcript %v, stats %+v, events %+v", s.Transcript(), s.SoftStats(), evs)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("budget 2: flip err = %v", err)
+		}
+		type ev struct {
+			kind     SoftEventKind
+			row      int
+			positive bool
+			votes    int
+		}
+		want := []ev{
+			{SoftCommit, 0, true, 1},
+			{SoftCommit, 1, true, 1},
+			{SoftRetract, 1, true, 1},
+			{SoftRetract, 0, true, 3},
+			{SoftCommit, 0, false, 3},
+		}
+		if len(evs) != len(want) {
+			t.Fatalf("events %+v, want %d", evs, len(want))
+		}
+		for i, e := range evs {
+			got := ev{e.Kind, e.Ref.RIndex, e.Positive, len(e.Votes)}
+			if got != want[i] || e.Ref.PIndex != -1 {
+				t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
+			}
+		}
+		if st := s.SoftStats(); st.Retractions != 2 || st.Votes != 4 {
+			t.Fatalf("soft stats %+v, want 2 retractions of 4 votes", st)
+		}
+		if tr := s.Transcript(); !sameEntries(tr, []TranscriptEntry{{RIndex: 0, PIndex: -1, Positive: false}}) || s.Questions() != 1 {
+			t.Fatalf("transcript %v after the repair, %d questions", tr, s.Questions())
+		}
 	}
 }
 

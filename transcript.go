@@ -1,14 +1,13 @@
 package joininference
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/inference"
 	"repro/internal/predicate"
 	"repro/internal/querytext"
+	"repro/internal/semijoin"
 )
 
 // TranscriptEntry records one answered question, addressed by row indexes
@@ -36,115 +35,110 @@ func (s *Session) Transcript() []TranscriptEntry {
 	return out
 }
 
-// SaveTranscript writes the session's transcript as JSON lines.
-func (s *Session) SaveTranscript(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range s.Transcript() {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("joininference: writing transcript: %w", err)
+// replay rebuilds the session's state from entries — the answers, in
+// order — without touching the session; install swaps the rebuilt state
+// in. Session state is a pure function of the answers, and this is the one
+// place each mode turns answers into state: the inconsistent-answer
+// rollback, Undo, ResumeSession and the soft repair trials all come
+// through here. Installing drops the join strategy so nothing retains the
+// replaced engine; rngMark is the caller's to adjust.
+func (s *Session) replay(entries []TranscriptEntry) (install func(), err error) {
+	if s.sj != nil {
+		st, err := s.replaySemijoin(s.inst, s.sj.solver, entries)
+		if err != nil {
+			return nil, err
 		}
+		return func() { s.sj, s.asked = st, len(st.entries) }, nil
 	}
-	return nil
-}
-
-// LoadTranscript parses a JSON-lines transcript and validates every entry
-// against the instance's bounds: RIndex must name a row of R, and PIndex a
-// row of P or -1 (a semijoin entry). Malformed JSON or out-of-range indexes
-// — a corrupt file, or a transcript saved against a different instance —
-// return an error wrapping ErrBadTranscript that names the offending entry,
-// never a panic.
-func LoadTranscript(inst *Instance, r io.Reader) ([]TranscriptEntry, error) {
-	var out []TranscriptEntry
-	dec := json.NewDecoder(r)
-	for line := 1; ; line++ {
-		var e TranscriptEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, line, err)
-		}
-		if err := validateEntry(inst, e); err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, line, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// validateEntry checks one transcript entry against the instance's bounds
-// (PIndex -1 marks a semijoin entry; below -1 is corruption).
-func validateEntry(inst *Instance, e TranscriptEntry) error {
-	if e.RIndex < 0 || e.RIndex >= inst.R.Len() {
-		return fmt.Errorf("row %d of R out of range [0,%d)", e.RIndex, inst.R.Len())
-	}
-	if e.PIndex < -1 || e.PIndex >= inst.P.Len() {
-		return fmt.Errorf("row %d of P out of range [0,%d) (or -1)", e.PIndex, inst.P.Len())
-	}
-	return nil
-}
-
-// ReplayTranscript builds a new join session over the instance and replays
-// a JSON-lines transcript, re-validating bounds and consistency along the
-// way (every failure wraps ErrBadTranscript). Entries whose class was
-// already decided by earlier answers are skipped (they carry no
-// information), mirroring what a live session would have asked. Semijoin
-// transcripts (PIndex -1) are not replayable here — resume those through
-// ResumeSession.
-func ReplayTranscript(inst *Instance, r io.Reader) (*Session, error) {
-	entries, err := LoadTranscript(inst, r)
+	e, err := s.replayJoin(entries)
 	if err != nil {
 		return nil, err
 	}
-	s := NewSession(inst)
-	if err := s.replayEntries(entries, true); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return func() {
+		s.engine, s.asked = e, e.Sample().Len()
+		s.strat, s.stratErr = nil, nil
+	}, nil
 }
 
-// replayEntries replays join-transcript entries into a fresh session,
-// validating bounds and consistency; every failure wraps ErrBadTranscript.
-// skipDecided selects the policy for entries whose class is already
-// labeled: transcripts skip them (duplicates carry no information),
-// snapshots reject them (a live session never labels one class twice, so a
-// duplicate means corruption).
-func (s *Session) replayEntries(entries []TranscriptEntry, skipDecided bool) error {
-	for i, e := range entries {
-		if err := validateEntry(s.inst, e); err != nil {
-			return fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
+// replayJoin replays entries into a fresh engine over the session's
+// T-classes. Every failure names the entry and wraps ErrBadTranscript:
+// rows outside the instance, semijoin entries, tuples without a class, or
+// a class labeled twice (a live session never labels a decided class, so
+// a repeat means corruption). Labels that no predicate satisfies
+// additionally wrap ErrInconsistent.
+func (s *Session) replayJoin(entries []TranscriptEntry) (*inference.Engine, error) {
+	inst := s.engine.Inst
+	e := inference.New(inst, inference.WithClasses(s.engine.Classes()))
+	for i, en := range entries {
+		if en.PIndex < 0 {
+			return nil, badEntry(i, "semijoin entry (row %d) in a join replay", en.RIndex)
 		}
-		if e.PIndex < 0 {
-			return fmt.Errorf("%w: entry %d: semijoin entry (row %d) in a join replay",
-				ErrBadTranscript, i+1, e.RIndex)
+		if en.RIndex < 0 || en.RIndex >= inst.R.Len() || en.PIndex >= inst.P.Len() {
+			return nil, badEntry(i, "tuple (%d,%d) outside the %d×%d product",
+				en.RIndex, en.PIndex, inst.R.Len(), inst.P.Len())
 		}
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
+		ci := s.classIndexFor(en.RIndex, en.PIndex)
 		if ci < 0 {
-			return fmt.Errorf("%w: entry %d: no class for tuple (%d,%d)",
-				ErrBadTranscript, i+1, e.RIndex, e.PIndex)
+			return nil, badEntry(i, "no class for tuple (%d,%d)", en.RIndex, en.PIndex)
 		}
-		if s.engine.IsLabeled(ci) {
-			if skipDecided {
-				continue // duplicate of an earlier answer's class
-			}
-			return fmt.Errorf("%w: entry %d: class of tuple (%d,%d) already labeled",
-				ErrBadTranscript, i+1, e.RIndex, e.PIndex)
+		if e.IsLabeled(ci) {
+			return nil, badEntry(i, "class of tuple (%d,%d) already labeled", en.RIndex, en.PIndex)
 		}
-		if err := s.engine.Label(ci, Label(e.Positive)); err != nil {
+		if err := e.Label(ci, Label(en.Positive)); err != nil {
 			if errors.Is(err, inference.ErrInconsistent) {
-				// Surface the public sentinel, matching Session.Answer and
-				// the semijoin resume path.
-				err = ErrInconsistent
+				err = ErrInconsistent // the public sentinel, as Answer returns it
 			}
-			return fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
+			return nil, fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
 		}
-		s.asked++
 	}
-	return nil
+	return e, nil
+}
+
+// replaySemijoin is replayJoin's semijoin counterpart: it builds the
+// labeled sample over inst, decided by solver (ApplyUpdate passes the new
+// version and a fresh solver; Explain's drop-one probes read the witness
+// without installing). The CONS⋉ decision runs once, on the whole sample:
+// consistency is monotone in the sample, so that equals checking every
+// prefix. Failures wrap ErrBadTranscript, inconsistent labels additionally
+// ErrInconsistent.
+func (s *Session) replaySemijoin(inst *Instance, solver *semijoin.Solver, entries []TranscriptEntry) (*semijoinState, error) {
+	st := &semijoinState{u: s.sj.u, solver: solver, labeled: make([]bool, inst.R.Len())}
+	for i, e := range entries {
+		switch {
+		case e.PIndex >= 0:
+			return nil, badEntry(i, "join entry (%d,%d) in a semijoin replay", e.RIndex, e.PIndex)
+		case e.RIndex < 0 || e.RIndex >= inst.R.Len():
+			return nil, badEntry(i, "row %d of R out of range [0,%d)", e.RIndex, inst.R.Len())
+		case st.labeled[e.RIndex]:
+			return nil, badEntry(i, "row %d already labeled", e.RIndex)
+		}
+		if e.Positive {
+			st.sample.Pos = append(st.sample.Pos, e.RIndex)
+		} else {
+			st.sample.Neg = append(st.sample.Neg, e.RIndex)
+		}
+		st.labeled[e.RIndex] = true
+		st.entries = append(st.entries, e)
+	}
+	theta, ok, err := solver.Consistent(st.sample)
+	if err != nil {
+		return nil, fmt.Errorf("joininference: %w", err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %w", ErrBadTranscript, ErrInconsistent)
+	}
+	st.current = theta
+	return st, nil
+}
+
+// badEntry reports transcript entry i (0-based) as unusable.
+func badEntry(i int, format string, args ...any) error {
+	return fmt.Errorf("%w: entry %d: %s", ErrBadTranscript, i+1, fmt.Sprintf(format, args...))
 }
 
 // classIndexFor finds the T-class of a product tuple through a map from
-// T-class predicate key to index, built once per session — so replay and
-// undo stay linear in the number of answers.
+// T-class predicate key to index, built once per session — so replay
+// stays linear in the number of answers.
 func (s *Session) classIndexFor(ri, pi int) int {
 	if s.classIdx == nil {
 		cs := s.engine.Classes()

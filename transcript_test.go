@@ -3,6 +3,7 @@ package joininference
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,20 +24,32 @@ func runSession(t *testing.T, goalText string) (*Session, Pred) {
 	return s, goal
 }
 
+// TestTranscriptRoundTrip: a finished session's transcript travels in its
+// snapshot, and the encoded snapshot resumes into the same session.
 func TestTranscriptRoundTrip(t *testing.T) {
 	s, _ := runSession(t, "Flight.To = Hotel.City")
 	if len(s.Transcript()) != s.Questions() {
 		t.Fatalf("transcript has %d entries, %d questions asked",
 			len(s.Transcript()), s.Questions())
 	}
-
-	var buf bytes.Buffer
-	if err := s.SaveTranscript(&buf); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ReplayTranscript(paperdata.FlightHotel(), &buf)
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := ResumeSession(paperdata.FlightHotel(), decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEntries(replayed.Transcript(), s.Transcript()) {
+		t.Errorf("replayed transcript %v ≠ original %v", replayed.Transcript(), s.Transcript())
 	}
 	if !replayed.Inferred().Equal(s.Inferred()) {
 		t.Errorf("replayed predicate %v ≠ original %v",
@@ -47,42 +60,31 @@ func TestTranscriptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayErrors: corrupt documents and transcripts fail with a
+// sentinel, never a panic or a half-built session.
 func TestReplayErrors(t *testing.T) {
 	inst := paperdata.FlightHotel()
-	if _, err := ReplayTranscript(inst, strings.NewReader("not json")); err == nil {
-		t.Error("garbage transcript accepted")
+	if _, err := DecodeSnapshot(strings.NewReader("not json")); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("garbage snapshot: err = %v, want ErrBadSnapshot", err)
 	}
-	if _, err := ReplayTranscript(inst, strings.NewReader(`{"r":99,"p":0,"positive":true}`)); err == nil {
-		t.Error("out-of-range entry accepted")
+	resume := func(entries ...TranscriptEntry) (*Session, error) {
+		return ResumeSession(inst, &Snapshot{Version: 1, Kind: SnapshotKindJoin, Asked: len(entries), Transcript: entries})
 	}
-	// Inconsistent transcript: label the same class-equivalent information
-	// contradictorily. (3)=(Paris→Lille AF, Lille AF) positive then a
-	// contradiction via an impossible mix: everything positive then one
-	// negative of a tuple made certain positive.
-	bad := `{"r":0,"p":1,"positive":true}
-{"r":0,"p":0,"positive":true}
-{"r":2,"p":2,"positive":false}
-`
-	// T(S+) after the two positives may make the third certain — if its
-	// class is undecided and the label contradicts, we must get an error;
-	// if the entry is skipped as decided, replay succeeds. Either way no
-	// panic and a valid session or error.
-	if s, err := ReplayTranscript(inst, strings.NewReader(bad)); err == nil && s == nil {
+	if _, err := resume(TranscriptEntry{RIndex: 99, PIndex: 0, Positive: true}); !errors.Is(err, ErrBadTranscript) {
+		t.Errorf("out-of-range entry: err = %v, want ErrBadTranscript", err)
+	}
+	// Two positives then a negative that T(S+) may already decide: if its
+	// label contradicts, the replay must fail with ErrBadTranscript (and
+	// ErrInconsistent); otherwise it yields a usable session.
+	s, err := resume(
+		TranscriptEntry{RIndex: 0, PIndex: 1, Positive: true},
+		TranscriptEntry{RIndex: 0, PIndex: 0, Positive: true},
+		TranscriptEntry{RIndex: 2, PIndex: 2, Positive: false})
+	if err != nil && !errors.Is(err, ErrBadTranscript) {
+		t.Errorf("contradicting transcript: err = %v, want ErrBadTranscript", err)
+	}
+	if err == nil && s == nil {
 		t.Error("nil session without error")
-	}
-}
-
-func TestReplaySkipsDecidedDuplicates(t *testing.T) {
-	// The same entry twice: second occurrence must be skipped silently.
-	two := `{"r":0,"p":2,"positive":true}
-{"r":0,"p":2,"positive":true}
-`
-	s, err := ReplayTranscript(paperdata.FlightHotel(), strings.NewReader(two))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Questions() != 1 {
-		t.Errorf("questions = %d, want 1 (duplicate skipped)", s.Questions())
 	}
 }
 
