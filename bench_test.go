@@ -155,9 +155,9 @@ func BenchmarkTable1Summary(b *testing.B) {
 }
 
 // BenchmarkSemijoinConsistencyScaling gives the Theorem 6.1 evidence: time
-// to decide CONS⋉ on 3SAT reductions of growing size (worst-case
-// exponential; the witness search stays feasible only because the formulas
-// are small).
+// for the production solver, fresh per decision, to decide CONS⋉ on 3SAT
+// reductions of growing size (worst-case exponential; the witness search
+// stays feasible only because the formulas are small).
 func BenchmarkSemijoinConsistencyScaling(b *testing.B) {
 	for _, n := range []int{2, 4, 6, 8} {
 		f := hardFormula(n)
@@ -167,7 +167,7 @@ func BenchmarkSemijoinConsistencyScaling(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("vars%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := semijoin.Consistent(red.Instance, red.Sample); err != nil {
+				if _, _, err := semijoin.NewSolver(red.Instance).Consistent(red.Sample); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	joininference "repro"
 	"repro/internal/paperdata"
@@ -107,5 +110,57 @@ func TestDebugEndpoints(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusOK {
 		t.Errorf("/healthz status = %d", hz.StatusCode)
+	}
+}
+
+// TestObsRouteLabelsBehindRequestTimeout: with a request timeout set (the
+// server's default is 30 s), per-route metrics still carry the matched
+// route — served through the server's own mux, and through the bare
+// service handler — instead of collapsing every request into "/" or
+// "unmatched".
+func TestObsRouteLabelsBehindRequestTimeout(t *testing.T) {
+	reg := service.NewRegistry()
+	if err := reg.RegisterInstance("flights", paperdata.FlightHotel()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		mount func(*service.Manager) http.Handler
+	}{
+		{"serve-mux", func(m *service.Manager) http.Handler { return newServeMux(m, false) }},
+		{"handler", service.NewHandler},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mgr, err := service.NewManager(reg, service.Options{Obs: service.NewObs(), RequestTimeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(c.mount(mgr))
+			defer srv.Close()
+			get := func(path string) string {
+				t.Helper()
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+				}
+				return string(body)
+			}
+			get("/instances")
+			get("/instances")
+			prom := get("/metrics")
+			if want := `http_requests_total{route="GET /instances"} 2`; !strings.Contains(prom, want) {
+				t.Fatalf("/metrics lacks %q:\n%s", want, prom)
+			}
+			for _, bad := range []string{`route="/"`, `route="unmatched"`} {
+				if strings.Contains(prom, bad) {
+					t.Errorf("/metrics labels a request %s", bad)
+				}
+			}
+		})
 	}
 }

@@ -114,9 +114,9 @@ func checkJoinSequences(t *testing.T, inst *Instance, goal Pred) {
 
 // TestColdPathSemijoinSequencesBitIdentical: semijoin sessions on the same
 // instances ask the scan-order sequence the pre-solver implementation
-// produced — computed here as the reference with the package-level
-// (seed) semijoin.Informative — for every strategy id (ignored by
-// semijoin sessions) and parallelism.
+// produced — computed here as the reference with one fresh semijoin.Solver
+// per decision, so no witness cache or scratch carries over — for every
+// strategy id (ignored by semijoin sessions) and parallelism.
 func TestColdPathSemijoinSequencesBitIdentical(t *testing.T) {
 	for _, c := range coldPathCases(t) {
 		t.Run(c.name, func(t *testing.T) { checkSemijoinSequences(t, c.inst, c.goal) })
@@ -125,7 +125,7 @@ func TestColdPathSemijoinSequencesBitIdentical(t *testing.T) {
 
 func checkSemijoinSequences(t *testing.T, inst *Instance, goal Pred) {
 
-	// Reference: the seed scan loop over package-level CONS⋉ decisions.
+	// Reference: the seed scan loop over independent CONS⋉ decisions.
 	keeps := func(ri int) bool {
 		for _, tP := range inst.P.Tuples {
 			if goal.Selects(predicate.NewUniverse(inst), inst.R.Tuples[ri], tP) {
@@ -143,7 +143,7 @@ func checkSemijoinSequences(t *testing.T, inst *Instance, goal Pred) {
 			if labeled[ri] {
 				continue
 			}
-			ok, err := semijoin.Informative(inst, sample, ri)
+			ok, err := semijoin.NewSolver(inst).Informative(sample, ri)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,8 @@ import (
 type Delta = relation.Delta
 
 // ErrStaleVersion reports a delta applied to an instance version that is
-// no longer the tip of its history.
+// no longer the tip of its history, or a question about rows a delta has
+// since deleted (QuestionByRef, Answer).
 var ErrStaleVersion = relation.ErrStaleVersion
 
 // InstanceUpdate is one applied delta lifted to the T-class layer: the two

@@ -373,3 +373,113 @@ func TestPolicyCacheApplyUpdateKeepsEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestDynamicSemijoinSkipsDeletedRows: a row a delta deleted is never asked
+// — not by a migrated semijoin session, not by a fresh one on the new
+// version — and a question about it is neither informative nor
+// answerable: hard and soft answers alike fail with ErrStaleVersion.
+func TestDynamicSemijoinSkipsDeletedRows(t *testing.T) {
+	inst := paperdata.FlightHotel()
+	cs := PrecomputeClasses(inst)
+	migrated := NewSemijoinSession(inst)
+	q0, err := migrated.QuestionByRef(QuestionRef{RIndex: 0, PIndex: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := ApplyDelta(inst, cs, Delta{DeleteR: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := migrated.ApplyUpdate(upd); err != nil {
+		t.Fatal(err)
+	}
+	goal, err := PredFromNames(migrated.Universe(), [2]string{"To", "City"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Session
+	}{
+		{"migrated", migrated},
+		{"fresh", NewSemijoinSession(upd.To)},
+		{"soft", NewSemijoinSession(upd.To, WithSoftInference(1))},
+	} {
+		s := c.s
+		qs, err := s.NextQuestions(context.Background(), upd.To.R.Len())
+		if err != nil || len(qs) == 0 {
+			t.Fatalf("%s: NextQuestions = %v, %v", c.name, qs, err)
+		}
+		for _, q := range qs {
+			if q.RIndex == 0 {
+				t.Fatalf("%s: asked deleted row 0 (batch %v)", c.name, qs)
+			}
+		}
+		if s.IsInformative(q0) {
+			t.Fatalf("%s: deleted row 0 reported informative", c.name)
+		}
+		if _, err := s.QuestionByRef(q0.Ref()); !errors.Is(err, ErrStaleVersion) {
+			t.Fatalf("%s: QuestionByRef(deleted row) = %v, want ErrStaleVersion", c.name, err)
+		}
+		if err := s.Answer(q0, Positive); !errors.Is(err, ErrStaleVersion) {
+			t.Fatalf("%s: Answer(deleted row) = %v, want ErrStaleVersion", c.name, err)
+		}
+		if _, err := Run(context.Background(), s, HonestOracle(goal)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, e := range s.Transcript() {
+			if e.RIndex == 0 {
+				t.Fatalf("%s: transcript answers deleted row 0: %v", c.name, s.Transcript())
+			}
+		}
+		if !s.Done() {
+			t.Fatalf("%s: not done after Run", c.name)
+		}
+	}
+}
+
+// TestDynamicStaleQuestionRefs: a ref a delta made stale fails with
+// ErrStaleVersion, not ErrBadQuestionRef — a semijoin ref to a deleted
+// row, and a join ref whose deleted tuple took its whole T-class along.
+// Labels are per class, so a join ref to a deleted row whose class
+// survives still resolves. Out-of-range and wrong-kind refs stay bad refs.
+func TestDynamicStaleQuestionRefs(t *testing.T) {
+	inst := paperdata.FlightHotel()
+	cs := PrecomputeClasses(inst)
+	join := NewSession(inst, WithPrecomputedClasses(cs))
+	semi := NewSemijoinSession(inst)
+	// Deleting Flight row 2 retires the T-class of (2,0) and keeps (2,1)'s.
+	upd, err := ApplyDelta(inst, cs, Delta{DeleteR: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Session{join, semi} {
+		if err := s.ApplyUpdate(upd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		s         *Session
+		ref       QuestionRef
+		stale, ok bool
+	}{
+		{join, QuestionRef{RIndex: 2, PIndex: 0}, true, false},
+		{join, QuestionRef{RIndex: 2, PIndex: 1}, false, true},
+		{join, QuestionRef{RIndex: 9, PIndex: 0}, false, false},
+		{join, QuestionRef{RIndex: 2, PIndex: -1}, false, false},
+		{semi, QuestionRef{RIndex: 2, PIndex: -1}, true, false},
+		{semi, QuestionRef{RIndex: 1, PIndex: -1}, false, true},
+		{semi, QuestionRef{RIndex: 9, PIndex: -1}, false, false},
+		{semi, QuestionRef{RIndex: 2, PIndex: 0}, false, false},
+	} {
+		_, err := c.s.QuestionByRef(c.ref)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("ref %+v: %v, want it to resolve", c.ref, err)
+		case c.stale && (!errors.Is(err, ErrStaleVersion) || errors.Is(err, ErrBadQuestionRef)):
+			t.Errorf("ref %+v: %v, want ErrStaleVersion", c.ref, err)
+		case !c.ok && !c.stale && (!errors.Is(err, ErrBadQuestionRef) || errors.Is(err, ErrStaleVersion)):
+			t.Errorf("ref %+v: %v, want ErrBadQuestionRef", c.ref, err)
+		}
+	}
+}

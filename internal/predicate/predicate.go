@@ -141,10 +141,10 @@ func (p Pred) Key() string { return p.Set.Key() }
 
 // Format renders the predicate with attribute names, e.g.
 // "Flight.To = Hotel.City ∧ Flight.Airline = Hotel.Discount"; ∅ renders as
-// "⊤ (empty predicate)".
+// "TRUE", so every text parses back (querytext.ParsePredicate).
 func (p Pred) Format(u *Universe) string {
 	if p.IsEmpty() {
-		return "⊤ (empty predicate)"
+		return "TRUE"
 	}
 	var parts []string
 	p.Set.ForEach(func(id int) bool {

@@ -227,7 +227,7 @@ func TestFormat(t *testing.T) {
 	if got := q2.Format(u); got != want {
 		t.Errorf("Format = %q, want %q", got, want)
 	}
-	if got := Empty().Format(u); got != "⊤ (empty predicate)" {
+	if got := Empty().Format(u); got != "TRUE" {
 		t.Errorf("Format(∅) = %q", got)
 	}
 }

@@ -76,6 +76,8 @@ func TestParseAmbiguousUnqualified(t *testing.T) {
 	}
 }
 
+// TestParseFormatRoundTrip: every predicate's Format text, the empty
+// conjunction's included, parses back to the predicate.
 func TestParseFormatRoundTrip(t *testing.T) {
 	u := universe()
 	preds := []predicate.Pred{
@@ -85,9 +87,6 @@ func TestParseFormatRoundTrip(t *testing.T) {
 	}
 	for _, p := range preds {
 		text := p.Format(u)
-		if p.IsEmpty() {
-			text = "TRUE"
-		}
 		got, err := ParsePredicate(u, text)
 		if err != nil {
 			t.Errorf("round trip of %q: %v", text, err)

@@ -28,7 +28,7 @@ func BenchmarkConsistentReduction(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("vars%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Consistent(red.Instance, red.Sample); err != nil {
+				if _, _, err := NewSolver(red.Instance).Consistent(red.Sample); err != nil {
 					b.Fatal(err)
 				}
 			}

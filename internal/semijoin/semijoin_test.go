@@ -2,6 +2,7 @@ package semijoin
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func TestSemijoinSampleSection6(t *testing.T) {
 		t.Fatalf("R ⋉θ' P = %v; θ' should select t1,t2 and not t3", semi)
 	}
 
-	got, ok, err := Consistent(inst, s)
+	got, ok, err := NewSolver(inst).Consistent(s)
 	if err != nil || !ok {
 		t.Fatalf("Consistent = %v, %v, %v; want consistent", got, ok, err)
 	}
@@ -65,7 +66,7 @@ func TestValidate(t *testing.T) {
 
 func TestEmptySampleConsistent(t *testing.T) {
 	inst := paperdata.Example21()
-	_, ok, err := Consistent(inst, Sample{})
+	_, ok, err := NewSolver(inst).Consistent(Sample{})
 	if err != nil || !ok {
 		t.Errorf("empty sample should be consistent (err=%v)", err)
 	}
@@ -75,7 +76,7 @@ func TestOnlyNegatives(t *testing.T) {
 	inst := paperdata.Example21()
 	// Ω selects nothing on Example 2.1, so all-negative samples are
 	// consistent.
-	theta, ok, err := Consistent(inst, Sample{Neg: []int{0, 1, 2, 3}})
+	theta, ok, err := NewSolver(inst).Consistent(Sample{Neg: []int{0, 1, 2, 3}})
 	if err != nil || !ok {
 		t.Fatalf("all-negative sample should be consistent (err=%v)", err)
 	}
@@ -94,7 +95,7 @@ func TestInconsistentSample(t *testing.T) {
 	P := relation.NewRelation(relation.MustSchema("P", "B1"))
 	P.MustAddTuple("1")
 	inst := relation.MustInstance(R, P)
-	_, ok, err := Consistent(inst, Sample{Pos: []int{0}, Neg: []int{1}})
+	_, ok, err := NewSolver(inst).Consistent(Sample{Pos: []int{0}, Neg: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestPositiveWithEmptyP(t *testing.T) {
 	R.MustAddTuple("1")
 	P := relation.NewRelation(relation.MustSchema("P", "B1"))
 	inst := relation.MustInstance(R, P)
-	_, ok, err := Consistent(inst, Sample{Pos: []int{0}})
+	_, ok, err := NewSolver(inst).Consistent(Sample{Pos: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +118,25 @@ func TestPositiveWithEmptyP(t *testing.T) {
 	}
 }
 
+// TestEval: the rows a predicate selects through the solver's witness
+// sets are exactly R ⋉θ P as predicate.Semijoin evaluates it.
 func TestEval(t *testing.T) {
 	inst := paperdata.Example21()
 	u := predicate.NewUniverse(inst)
 	theta := predicate.MustFromNames(u, [2]string{"A2", "B2"})
-	got := Eval(inst, theta)
+	got := predicate.Semijoin(inst, u, theta)
 	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("Eval = %v, want [0 3]", got)
+		t.Errorf("R ⋉θ P = %v, want [0 3]", got)
+	}
+	sv := NewSolver(inst)
+	var viaWitnesses []int
+	for ri := range inst.R.Tuples {
+		if selects(theta, sv.Witnesses(ri)) {
+			viaWitnesses = append(viaWitnesses, ri)
+		}
+	}
+	if !slices.Equal(viaWitnesses, got) {
+		t.Errorf("witness selection = %v, want %v", viaWitnesses, got)
 	}
 }
 
@@ -158,8 +171,9 @@ func randInstance(r *rand.Rand) *relation.Instance {
 	return relation.MustInstance(R, P)
 }
 
-// TestQuickConsistentMatchesBruteForce: the witness-assignment search and
-// the definitional enumeration agree on random instances and samples.
+// TestQuickConsistentMatchesBruteForce: the witness-assignment search —
+// the reference and the Solver — and the definitional enumeration agree on
+// random instances and samples.
 func TestQuickConsistentMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -181,7 +195,8 @@ func TestQuickConsistentMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if got != want {
+		solverTheta, solverGot, err := NewSolver(inst).Consistent(s)
+		if err != nil || got != want || solverGot != want || (got && !solverTheta.Equal(gotTheta)) {
 			return false
 		}
 		if got {

@@ -16,9 +16,9 @@ import (
 // set once and caches it; the backtracking search itself runs on scratch —
 // per-depth intersection buffers instead of a fresh predicate per branch,
 // and memo keys built in a reusable byte buffer — so a decision allocates
-// only its memo table. Results are exactly those of the package-level
-// Consistent/Informative (solver_test.go checks differentially); the
-// worst case stays exponential, as Theorem 6.1 demands.
+// only its memo table. Results are exactly those of the reference search
+// kept in the tests (solver_test.go checks differentially); the worst case
+// stays exponential, as Theorem 6.1 demands.
 //
 // A Solver is not safe for concurrent use.
 type Solver struct {
@@ -68,8 +68,9 @@ func (sv *Solver) Witnesses(ri int) []predicate.Pred {
 	return sv.wits[ri]
 }
 
-// Consistent decides CONS⋉ for the sample, returning a witness predicate
-// on success; identical results to the package-level Consistent.
+// Consistent decides CONS⋉ — does a semijoin predicate select all positive
+// examples and no negative one? On success it returns a ⊆-maximal such
+// predicate, the intersection of one witness per positive example.
 func (sv *Solver) Consistent(s Sample) (predicate.Pred, bool, error) {
 	theta, ok, err := sv.solve(s)
 	if ok {
@@ -79,8 +80,8 @@ func (sv *Solver) Consistent(s Sample) (predicate.Pred, bool, error) {
 }
 
 // Informative reports whether both labels for row ri admit a consistent
-// predicate extending the sample (two CONS⋉ decisions); identical results
-// to the package-level Informative.
+// predicate extending the sample (two CONS⋉ decisions) — i.e. whether
+// asking the user about ri would narrow the candidate space.
 func (sv *Solver) Informative(s Sample, ri int) (bool, error) {
 	sv.posBuf = append(append(sv.posBuf[:0], s.Pos...), ri)
 	_, okPos, err := sv.solve(Sample{Pos: sv.posBuf, Neg: s.Neg})
@@ -95,7 +96,7 @@ func (sv *Solver) Informative(s Sample, ri int) (bool, error) {
 	return okNeg, err
 }
 
-// validate is Sample.Validate on the solver's scratch.
+// validate checks all indexes are in range and no row is labeled twice.
 func (sv *Solver) validate(s Sample) error {
 	defer func() {
 		for _, i := range s.Pos {
@@ -134,9 +135,10 @@ func (sv *Solver) stateKey(k int, theta predicate.Pred) []byte {
 	return sv.keyBuf
 }
 
-// solve runs the backtracking witness assignment of Consistent on scratch
-// storage. The returned predicate aliases a scratch buffer (or Ω) and is
-// only valid until the next solver call.
+// solve is the backtracking witness assignment behind Consistent, pruned
+// because once a partial intersection selects a negative example, every
+// refinement does too. The returned predicate aliases a scratch buffer
+// (or Ω) and is only valid until the next solver call.
 func (sv *Solver) solve(s Sample) (predicate.Pred, bool, error) {
 	if err := sv.validate(s); err != nil {
 		return predicate.Pred{}, false, err
@@ -158,8 +160,7 @@ func (sv *Solver) solve(s Sample) (predicate.Pred, bool, error) {
 		posWs = append(posWs, ws)
 	}
 	sv.posWs = posWs
-	// Branch on the positives with the fewest witnesses first (same order
-	// as the package-level search).
+	// Branch on the positives with the fewest witnesses first.
 	sort.SliceStable(posWs, func(a, b int) bool { return len(posWs[a]) < len(posWs[b]) })
 
 	for len(sv.levels) < len(posWs) {

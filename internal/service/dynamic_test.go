@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -324,6 +325,45 @@ func TestHTTPIngest(t *testing.T) {
 	}
 }
 
+// TestHTTPIngestStaleAnswerConflict: answering a question whose row a
+// delta deleted in the meantime is a version conflict (409), not a bad
+// ref — for a fetched semijoin question, and for a join ref whose deleted
+// tuple took its T-class along. A ref outside the instance stays 400.
+func TestHTTPIngestStaleAnswerConflict(t *testing.T) {
+	m, err := NewManager(testRegistry(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+
+	var semi, join Info
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+		Params{Instance: "flights", Semijoin: true}, http.StatusCreated, &semi)
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+		Params{Instance: "flights", Strategy: joininference.StrategyBU}, http.StatusCreated, &join)
+	var qr wireQuestions
+	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+semi.ID+"/questions?k=1", nil, http.StatusOK, &qr)
+	if len(qr.Questions) != 1 {
+		t.Fatalf("questions: %+v", qr)
+	}
+	q := qr.Questions[0]
+	// Flight row 2 is deleted too: that retires the T-class of (2,0).
+	doJSON(t, client, http.MethodPost, srv.URL+"/instances/flights/rows",
+		map[string]any{"delete_r": []int{q.R, 2}}, http.StatusOK, nil)
+
+	answer := func(id string, ref joininference.QuestionRef, want int) {
+		t.Helper()
+		doJSON(t, client, http.MethodPost, srv.URL+"/sessions/"+id+"/answers",
+			answersRequest{Answers: []Answer{{QuestionRef: ref, Positive: true}}}, want, nil)
+	}
+	answer(semi.ID, joininference.QuestionRef{RIndex: q.R, PIndex: q.P}, http.StatusConflict)
+	answer(join.ID, joininference.QuestionRef{RIndex: 2, PIndex: 0}, http.StatusConflict)
+	answer(semi.ID, joininference.QuestionRef{RIndex: 99, PIndex: -1}, http.StatusBadRequest)
+	answer(join.ID, joininference.QuestionRef{RIndex: 99, PIndex: 0}, http.StatusBadRequest)
+}
+
 // TestConcurrentIngestAndAnswering runs sessions and ingests concurrently;
 // under -race this is the proof that the versioned registry, lazy session
 // migration and policy-cache migration are safe together.
@@ -415,5 +455,92 @@ func TestConcurrentIngestAndAnswering(t *testing.T) {
 	}
 	if entry.Inst.Version() != ingests {
 		t.Fatalf("final version %d, want %d", entry.Inst.Version(), ingests)
+	}
+}
+
+// TestManagerIngestInfoDoneMatchesSession: every Done the manager reports
+// — status, question fetch, answer result, predicate — is the session's
+// own Done() verdict, after create, questions, answers and an ingest
+// migration alike, for join, semijoin and soft sessions.
+func TestManagerIngestInfoDoneMatchesSession(t *testing.T) {
+	ctx := context.Background()
+	for name, p := range map[string]Params{
+		"BU":       {Instance: "flights", Strategy: joininference.StrategyBU},
+		"L1S":      {Instance: "flights", Strategy: joininference.StrategyL1S},
+		"semijoin": {Instance: "flights", Semijoin: true},
+		"soft-TD":  {Instance: "flights", Strategy: joininference.StrategyTD, ErrorBudget: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewManager(testRegistry(t), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessDone := func(id string) bool {
+				ms, err := m.acquire(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.release(ms)
+				return ms.sess.Done()
+			}
+			check := func(step string, id string, reported bool) {
+				t.Helper()
+				if want := sessDone(id); reported != want {
+					t.Fatalf("%s: manager reports done=%v, session says %v", step, reported, want)
+				}
+				info, err := m.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Done != reported {
+					t.Fatalf("%s: status done=%v, operation reported %v", step, info.Done, reported)
+				}
+			}
+			info, err := m.Create(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("create", info.ID, info.Done)
+			goal := flightGoal(t)
+			if p.Semijoin {
+				u := joininference.NewSemijoinSession(paperdata.FlightHotel()).Universe()
+				if goal, err = joininference.PredFromNames(u, [2]string{"To", "City"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oracle := joininference.HonestOracle(goal)
+			for round := 0; ; round++ {
+				if round == 1 {
+					if _, err := m.Ingest("flights", joininference.Delta{
+						DeleteR: []int{3},
+						InsertR: []joininference.Tuple{{"Lille", "Paris", "AF"}},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				qs, err := m.Questions(ctx, info.ID, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d questions", round), info.ID, len(qs) == 0)
+				if len(qs) == 0 {
+					break
+				}
+				l, err := oracle.Label(ctx, qs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := m.Answer(ctx, info.ID, []Answer{{QuestionRef: qs[0].Ref(), Positive: bool(l)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d answers", round), info.ID, res.Done)
+				pi, err := m.Predicate(info.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d predicate", round), info.ID, pi.Done)
+			}
+		})
 	}
 }

@@ -243,7 +243,9 @@ func NewHandler(m *Manager) http.Handler {
 			})
 		})
 	}
-	return obs.Middleware(withRequestTimeout(mux, m.opts.RequestTimeout), cfg)
+	// The timeout wraps the middleware: between middleware and mux, its
+	// request copy would take the route pattern the mux sets.
+	return withRequestTimeout(obs.Middleware(mux, cfg), m.opts.RequestTimeout)
 }
 
 // withRequestTimeout caps every request's context at d (0 = no cap). The

@@ -154,6 +154,36 @@ func TestHTTPEndToEnd(t *testing.T) {
 	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID, nil, http.StatusNotFound, nil)
 }
 
+// TestHTTPPredicateParsesBack: GET /sessions/{id}/predicate serves text
+// that ParsePredicate reads back — the empty predicate (the goal of a user
+// who keeps every pair) included, as "TRUE".
+func TestHTTPPredicateParsesBack(t *testing.T) {
+	m, err := NewManager(testRegistry(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+	inst := paperdata.FlightHotel()
+	u := joininference.NewSession(inst).Universe()
+	for _, goal := range []joininference.Pred{{}, flightGoal(t)} {
+		var info Info
+		doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+			Params{Instance: "flights", Strategy: joininference.StrategyTD}, http.StatusCreated, &info)
+		driveHTTP(t, client, srv.URL, info.ID, inst, goal, 1)
+		var p PredicateInfo
+		doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID+"/predicate", nil, http.StatusOK, &p)
+		got, err := joininference.ParsePredicate(u, p.Predicate)
+		if err != nil {
+			t.Fatalf("served predicate %q does not parse: %v", p.Predicate, err)
+		}
+		if !p.Done || !got.Equal(goal) {
+			t.Fatalf("served %q (done %v), want %q", p.Predicate, p.Done, goal.Format(u))
+		}
+	}
+}
+
 // TestHTTPSnapshotResumeRoundtrip hands a snapshot fetched over HTTP back
 // to POST /sessions and checks the resumed session picks up where the
 // original left off.

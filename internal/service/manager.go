@@ -59,7 +59,7 @@ type Info struct {
 	// Classes is the number of T-classes (the worst-case number of
 	// questions); 0 for semijoin sessions.
 	Classes int `json:"classes,omitempty"`
-	// Done reports the halt condition Γ: the predicate is determined.
+	// Done reports Session.Done: Γ holds and no disputed re-ask is pending.
 	Done bool `json:"done"`
 	// Soft carries the soft layer's counters for error-tolerant sessions;
 	// nil for hard sessions.
@@ -402,10 +402,6 @@ type managed struct {
 	sess     *joininference.Session
 	lastUsed time.Time
 	gone     bool
-	// done caches Session.Done() — for semijoin sessions an NP-hard scan —
-	// so status calls don't recompute it; nil = unknown, reset when answers
-	// are applied. Guarded by mu.
-	done *bool
 
 	// infoMu guards lastInfo: the status as of the last completed
 	// operation, served by List when the session is busy mid-operation.
@@ -660,16 +656,6 @@ func validID(id string) bool {
 	return true
 }
 
-// isDone returns the session's halt state through the done cache; callers
-// hold ms.mu (or have exclusive access).
-func (ms *managed) isDone() bool {
-	if ms.done == nil {
-		d := ms.sess.Done()
-		ms.done = &d
-	}
-	return *ms.done
-}
-
 // info builds the session's status and refreshes the lastInfo cache;
 // callers hold ms.mu (or have exclusive access).
 func (ms *managed) info() Info {
@@ -681,7 +667,7 @@ func (ms *managed) info() Info {
 		Asked:    ms.sess.Questions(),
 		Budget:   ms.sess.Budget(),
 		Classes:  ms.sess.Classes(),
-		Done:     ms.isDone(),
+		Done:     ms.sess.Done(),
 	}
 	if ms.sess.Soft() {
 		st := ms.sess.SoftStats()
@@ -838,7 +824,6 @@ func (m *Manager) migrateLocked(ms *managed) error {
 				ms.id, ms.params.Instance, upd.Version(), err)
 		}
 	}
-	ms.done = nil
 	ms.info()
 	m.met.migrated.Add(1)
 	m.log.Info("session migrated",
@@ -891,9 +876,6 @@ func (m *Manager) Questions(ctx context.Context, id string, k int) ([]joininfere
 	qs, err := ms.sess.NextQuestions(ctx, k)
 	sp.SetError(err)
 	if err == nil {
-		// NextQuestions just answered the done question for free.
-		d := len(qs) == 0
-		ms.done = &d
 		ms.info()
 		m.met.questions.Add(int64(len(qs)))
 	}
@@ -979,16 +961,12 @@ func (m *Manager) Answer(ctx context.Context, id string, answers []Answer) (Answ
 			return res, err
 		}
 		res.Applied++
-		// Count (and invalidate Done) immediately, not after the loop: an
-		// early return — cancellation, a later bad answer — must not leave a
-		// stale Done or an answers_applied count below what the session
-		// actually recorded.
+		// Count immediately: an early return (cancellation, a later bad
+		// answer) must not leave answers_applied below what was recorded.
 		m.met.answers.Add(1)
-		ms.done = nil
 	}
-	res.Asked = ms.sess.Questions()
-	res.Done = ms.isDone()
-	ms.info()
+	in := ms.info()
+	res.Asked, res.Done = in.Asked, in.Done
 	return res, nil
 }
 
@@ -1030,7 +1008,7 @@ func (m *Manager) Predicate(id string) (PredicateInfo, error) {
 		Predicate: p.Format(u),
 		SQL:       joininference.SQL(u, p, ms.params.Semijoin, false),
 		Asked:     ms.sess.Questions(),
-		Done:      ms.isDone(),
+		Done:      ms.sess.Done(),
 	}, nil
 }
 

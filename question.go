@@ -61,7 +61,10 @@ func (q Question) MarshalJSON() ([]byte, error) {
 // QuestionByRef rehydrates a QuestionRef into a live Question on this
 // session, validating the indexes against the instance. For join sessions
 // the ref must name a product tuple (PIndex ≥ 0) whose T-class exists; for
-// semijoin sessions it must name a row of R with PIndex -1; anything else
+// semijoin sessions it must name a row of R with PIndex -1. A ref to a
+// semijoin row, or a join tuple and its whole T-class, that a delta deleted
+// fails with an error wrapping ErrStaleVersion; labels are per class, so a
+// deleted join tuple whose class survives still resolves. Anything else
 // fails with an error wrapping ErrBadQuestionRef. The returned Question is
 // answerable with Answer exactly like one from NextQuestions.
 func (s *Session) QuestionByRef(ref QuestionRef) (Question, error) {
@@ -72,7 +75,11 @@ func (s *Session) QuestionByRef(ref QuestionRef) (Question, error) {
 		if ref.RIndex < 0 || ref.RIndex >= s.inst.R.Len() {
 			return Question{}, fmt.Errorf("%w: row %d out of range [0,%d)", ErrBadQuestionRef, ref.RIndex, s.inst.R.Len())
 		}
-		return s.semijoinQuestion(ref.RIndex), nil
+		q := s.semijoinQuestion(ref.RIndex)
+		if _, err := s.semijoinRow(q); err != nil {
+			return Question{}, err // a row a delta deleted: ErrStaleVersion
+		}
+		return q, nil
 	}
 	if ref.Semijoin() {
 		return Question{}, fmt.Errorf("%w: row %d is a semijoin question but this is a join session", ErrBadQuestionRef, ref.RIndex)
@@ -82,6 +89,10 @@ func (s *Session) QuestionByRef(ref QuestionRef) (Question, error) {
 			ErrBadQuestionRef, ref.RIndex, ref.PIndex, s.inst.R.Len(), s.inst.P.Len())
 	}
 	ci := s.classIndexFor(ref.RIndex, ref.PIndex)
+	if ci < 0 && (!s.inst.RAlive(ref.RIndex) || !s.inst.PAlive(ref.PIndex)) {
+		return Question{}, fmt.Errorf("joininference: tuple (%d,%d) and its T-class were deleted by version %d: %w",
+			ref.RIndex, ref.PIndex, s.inst.Version(), ErrStaleVersion)
+	}
 	if ci < 0 {
 		return Question{}, fmt.Errorf("%w: (%d,%d) has no T-class in this instance", ErrBadQuestionRef, ref.RIndex, ref.PIndex)
 	}

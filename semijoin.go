@@ -1,6 +1,9 @@
 package joininference
 
-import "repro/internal/semijoin"
+import (
+	"repro/internal/predicate"
+	"repro/internal/semijoin"
+)
 
 // Semijoin support (Section 6 of the paper). Because projection hides the
 // P side, examples are rows of R alone — and merely deciding whether *any*
@@ -20,10 +23,10 @@ type SemijoinSample struct {
 // SemijoinConsistent decides whether any semijoin predicate selects all
 // Keep rows and no Drop row; on success it returns one such predicate.
 func SemijoinConsistent(inst *Instance, s SemijoinSample) (Pred, bool, error) {
-	return semijoin.Consistent(inst, semijoin.Sample{Pos: s.Keep, Neg: s.Drop})
+	return semijoin.NewSolver(inst).Consistent(semijoin.Sample{Pos: s.Keep, Neg: s.Drop})
 }
 
 // SemijoinEval materializes R ⋉θ P as R-row indexes.
 func SemijoinEval(inst *Instance, theta Pred) []int {
-	return semijoin.Eval(inst, theta)
+	return predicate.Semijoin(inst, predicate.NewUniverse(inst), theta)
 }

@@ -256,6 +256,11 @@ type semijoinState struct {
 	entries []TranscriptEntry
 	current Pred
 
+	// haltKnown marks halted as the halt verdict Γ for the current sample.
+	// Row picks (the scan, a policy-cache hit) set it, semijoinCommit
+	// clears it, and a replay starts without one.
+	haltKnown, halted bool
+
 	// pairPos/pairNeg back the hypothetical samples of the pairwise batch
 	// scan, so each of its O(k²) informativeness probes reuses one buffer
 	// instead of copying the sample.
@@ -310,35 +315,31 @@ func (s *Session) Classes() int {
 	return len(s.engine.Classes())
 }
 
-// Done reports whether no informative question remains (halt condition Γ):
-// at most one predicate, up to instance equivalence, is consistent with the
-// answers. For semijoin sessions this test itself is NP-hard and scans all
-// unlabeled rows.
+// Done reports whether NextQuestions has nothing left to ask: no
+// informative question remains (halt condition Γ: at most one predicate,
+// up to instance equivalence, is consistent with the answers), and no
+// disputed re-ask is pending while budget remains. For semijoin sessions Γ
+// is NP-hard; the session caches it until the next answer or replay.
 func (s *Session) Done() bool {
-	if s.sj != nil {
-		done, _ := s.semijoinDone(context.Background())
-		return done
+	if (s.cfg.budget == 0 || s.interactions() < s.cfg.budget) && len(s.disputedQuestions(1)) > 0 {
+		return false
 	}
-	return s.engine.Done()
+	done, _ := s.halted(context.Background())
+	return done
 }
 
-func (s *Session) semijoinDone(ctx context.Context) (bool, error) {
-	for ri := range s.sj.labeled {
-		if s.sj.labeled[ri] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("joininference: %w", err)
-		}
-		ok, err := s.sj.solver.Informative(s.sj.sample, ri)
-		if err != nil {
-			return false, fmt.Errorf("joininference: %w", err)
-		}
-		if ok {
-			return false, nil
+// halted decides halt condition Γ; a semijoin session without a cached
+// verdict asks the row scan for a single pick.
+func (s *Session) halted(ctx context.Context) (bool, error) {
+	if s.sj == nil {
+		return s.engine.Done(), nil
+	}
+	if !s.sj.haltKnown {
+		if _, _, err := s.semijoinScan(ctx, nil, 1); err != nil {
+			return false, err
 		}
 	}
-	return true, nil
+	return s.sj.halted, nil
 }
 
 // strategy resolves the session's configured strategy once.
@@ -402,15 +403,11 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 	if s.cfg.budget > 0 {
 		remaining := s.cfg.budget - s.interactions()
 		if remaining <= 0 {
-			if s.sj != nil {
-				done, err := s.semijoinDone(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if done {
-					return nil, nil
-				}
-			} else if s.engine.Done() {
+			done, err := s.halted(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if done {
 				return nil, nil
 			}
 			return nil, ErrBudgetExhausted
@@ -676,6 +673,7 @@ func (s *Session) servePolicySemijoin(ctx context.Context, node policy.Node, pre
 		}
 	}
 	if picks, ok := policyPicks(node, k); ok {
+		s.sj.haltKnown, s.sj.halted = true, len(picks) == 0
 		return s.semijoinQuestions(picks), true, nil
 	}
 	picked := make([]int, 0, k)
@@ -700,10 +698,11 @@ func semijoinNode(picked []int, complete bool) policy.Node {
 	return n
 }
 
-// semijoinScan grows picked to up to k mutually informative unlabeled
-// rows. Picks happen in scan order and rejection is monotone in the picked
-// set, so the scan resumes after the last already-picked row. complete
-// reports that the scan covered all remaining rows.
+// semijoinScan grows picked to up to k mutually informative unlabeled live
+// rows and caches the halt verdict this implies. Picks happen in scan order
+// and rejection is monotone in the picked set, so the scan resumes after
+// the last already-picked row. complete reports that the scan covered all
+// remaining rows.
 func (s *Session) semijoinScan(ctx context.Context, picked []int, k int) ([]int, bool, error) {
 	start := 0
 	if len(picked) > 0 {
@@ -711,9 +710,10 @@ func (s *Session) semijoinScan(ctx context.Context, picked []int, k int) ([]int,
 	}
 	for ri := start; ri < s.inst.R.Len(); ri++ {
 		if len(picked) >= k {
+			s.sj.haltKnown, s.sj.halted = true, false
 			return picked, false, nil
 		}
-		if s.sj.labeled[ri] {
+		if s.sj.labeled[ri] || !s.inst.RAlive(ri) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -737,6 +737,7 @@ func (s *Session) semijoinScan(ctx context.Context, picked []int, k int) ([]int,
 		}
 		picked = append(picked, ri)
 	}
+	s.sj.haltKnown, s.sj.halted = true, len(picked) == 0
 	return picked, true, nil
 }
 
@@ -852,9 +853,9 @@ func (s *Session) markRNG() {
 }
 
 func (s *Session) semijoinAnswer(q Question, l Label) error {
-	ri := q.RIndex
-	if !q.Semijoin() || ri < 0 || ri >= len(s.sj.labeled) {
-		return fmt.Errorf("joininference: question was not produced by this semijoin session")
+	ri, err := s.semijoinRow(q)
+	if err != nil {
+		return err
 	}
 	if s.sj.labeled[ri] {
 		return fmt.Errorf("joininference: row %d already labeled", ri)
@@ -864,6 +865,19 @@ func (s *Session) semijoinAnswer(q Question, l Label) error {
 		err = ErrInconsistent
 	}
 	return err
+}
+
+// semijoinRow returns the row a semijoin question asks about, rejecting
+// foreign questions and rows a delta deleted.
+func (s *Session) semijoinRow(q Question) (int, error) {
+	ri := q.RIndex
+	if !q.Semijoin() || ri < 0 || ri >= len(s.sj.labeled) {
+		return 0, fmt.Errorf("joininference: question was not produced by this semijoin session")
+	}
+	if !s.inst.RAlive(ri) {
+		return 0, fmt.Errorf("joininference: row %d was deleted by version %d: %w", ri, s.inst.Version(), ErrStaleVersion)
+	}
+	return ri, nil
 }
 
 // semijoinCommit is the one "sample plus one row" step of the hard and
@@ -890,6 +904,7 @@ func (s *Session) semijoinCommit(ri int, l Label) (bool, error) {
 	s.sj.labeled[ri] = true
 	s.sj.entries = append(s.sj.entries, TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)})
 	s.sj.current = theta
+	s.sj.haltKnown = false
 	s.asked++
 	return true, nil
 }
@@ -921,10 +936,11 @@ func (s *Session) AnswerBatch(qs []Question, labels []Label) (int, error) {
 // semijoin sessions the test pays two CONS⋉ decisions.
 func (s *Session) IsInformative(q Question) bool {
 	if s.sj != nil {
-		if !q.Semijoin() || q.RIndex < 0 || q.RIndex >= len(s.sj.labeled) || s.sj.labeled[q.RIndex] {
+		ri, err := s.semijoinRow(q)
+		if err != nil || s.sj.labeled[ri] {
 			return false
 		}
-		ok, err := s.sj.solver.Informative(s.sj.sample, q.RIndex)
+		ok, err := s.sj.solver.Informative(s.sj.sample, ri)
 		return err == nil && ok
 	}
 	if q.classIndex < 0 || q.classIndex >= len(s.engine.Classes()) {

@@ -169,10 +169,7 @@ func (s *Session) interactions() int {
 // this session.
 func (s *Session) softKey(q Question) (int, error) {
 	if s.sj != nil {
-		if !q.Semijoin() || q.RIndex < 0 || q.RIndex >= len(s.sj.labeled) {
-			return 0, fmt.Errorf("joininference: question was not produced by this semijoin session")
-		}
-		return q.RIndex, nil
+		return s.semijoinRow(q)
 	}
 	if q.classIndex < 0 || q.classIndex >= len(s.engine.Classes()) {
 		return 0, fmt.Errorf("joininference: question was not produced by this join session")

@@ -445,7 +445,7 @@ func TestExplainAttribution(t *testing.T) {
 
 // TestExplainSemijoinCriticalMatchesDropOne: a semijoin answer is Critical
 // exactly when dropping it alone changes the CONS⋉ outcome — checked
-// against drop-one samples decided by the package-level reference solver.
+// against drop-one samples, each decided by a fresh CONS⋉ solver.
 func TestExplainSemijoinCriticalMatchesDropOne(t *testing.T) {
 	liar, liarGoal := liarInstance(t)
 	sjInst, sjGoal := sjLiarInstance(t)
@@ -476,12 +476,12 @@ func TestExplainSemijoinCriticalMatchesDropOne(t *testing.T) {
 			}
 			return sm
 		}
-		full, fullOK, err := semijoin.Consistent(fx.inst, sampleOf(-1))
+		full, fullOK, err := semijoin.NewSolver(fx.inst).Consistent(sampleOf(-1))
 		if err != nil || !fullOK {
 			t.Fatalf("full sample: ok %v, err %v", fullOK, err)
 		}
 		for i, a := range attrs {
-			sub, subOK, err := semijoin.Consistent(fx.inst, sampleOf(i))
+			sub, subOK, err := semijoin.NewSolver(fx.inst).Consistent(sampleOf(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -808,4 +808,74 @@ func TestSoftSnapshotRoundTrip(t *testing.T) {
 	if raw := hardSnap.AppendBinary(nil); raw[4] != 1 {
 		t.Fatalf("hard binary container version %d, want 1", raw[4])
 	}
+}
+
+// TestSoftDoneAgreesWithNextQuestions: Done() holds exactly when
+// NextQuestions has nothing to serve — including while disputed re-asks,
+// which a retraction repair leaves behind, are pending on a sample that
+// is otherwise settled. Checked before every round of planted-lie batched
+// runs, join and semijoin.
+func TestSoftDoneAgreesWithNextQuestions(t *testing.T) {
+	ctx := context.Background()
+	joinInst := coldPathInstance(t)
+	sjInst, sjGoal := sjLiarInstance(t)
+	pending := 0
+	for _, c := range []struct {
+		id       StrategyID
+		semijoin bool
+		inst     *Instance
+		goal     Pred
+		k        int
+	}{
+		{StrategyBU, false, joinInst, coldPathGoal(joinInst), lieBatch},
+		{StrategyTD, false, joinInst, coldPathGoal(joinInst), lieBatch},
+		{StrategyTD, true, sjInst, sjGoal, sjLieBatch},
+	} {
+		n := honestBatchLength(t, c.inst, c.goal, c.id, c.semijoin, c.k)
+		for pos := 0; pos < n; pos++ {
+			opts := []Option{WithStrategy(c.id), WithSeed(7), WithErrorBudget(3)}
+			s := NewSession(c.inst, opts...)
+			if c.semijoin {
+				s = NewSemijoinSession(c.inst, opts...)
+			}
+			oracle := &lyingOracle{honest: HonestOracle(c.goal), flipAt: pos}
+			for round := 0; ; round++ {
+				if round > 1000 {
+					t.Fatalf("%s/semijoin=%v lie at %d: no convergence", c.id, c.semijoin, pos)
+				}
+				done := s.Done()
+				if len(s.disputedQuestions(1)) > 0 {
+					pending++
+				}
+				one, err := s.NextQuestions(ctx, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done != (len(one) == 0) {
+					t.Fatalf("%s/semijoin=%v lie at %d round %d: Done()=%v but NextQuestions serves %d",
+						c.id, c.semijoin, pos, round, done, len(one))
+				}
+				if done {
+					break
+				}
+				qs, err := s.NextQuestions(ctx, c.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range qs {
+					l, err := oracle.Label(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.AnswerVote(q, l, Vote{}); err != nil {
+						t.Fatalf("%s/semijoin=%v lie at %d: %v", c.id, c.semijoin, pos, err)
+					}
+				}
+			}
+		}
+	}
+	if pending == 0 {
+		t.Fatal("no run left a disputed re-ask pending; the check is vacuous")
+	}
+	t.Logf("%d rounds with disputed re-asks pending", pending)
 }
